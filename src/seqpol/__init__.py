@@ -35,13 +35,11 @@ from .analysis import (
     P_FLOOR,
     QuasiProbabilityTable,
     ReconstructionConfig,
-    classical_conditional_average,
     conditional_average,
     optimal_error,
     ozawa_error,
     quasi_probability,
     reconstruct_correlation,
-    sequential_conditional_average,
     symmetric_error_probability,
     two_level_conditional_average,
     two_level_optimal_error,
@@ -55,7 +53,6 @@ from .exceptions import (
     UnresolvableOutcomeError,
 )
 from .harness import (
-    ALL_STRATEGIES,
     CountRecord,
     Crossing,
     SweepConfig,

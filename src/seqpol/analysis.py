@@ -20,6 +20,12 @@ value assignments; they coincide with real parts of weak values and may lie
 far outside the eigenvalue range when the conditioning outcome is unlikely.
 That possibility is exactly the failure of a joint positive probability for
 outcome and eigenvalue, which :func:`quasi_probability` makes visible.
+
+Every estimate and error is computed from one pair per outcome,
+(P(m), c_m = Re<psi|E_m A|psi>).  :func:`outcome_terms` gives the pairs by
+the operator route, :func:`calibrated_terms` from eigenstate-calibration
+probabilities, and :func:`error_report` turns either into the optimal
+assignments and a squared error.
 """
 
 import math
@@ -68,12 +74,6 @@ def _require_probability(value: float, name: str) -> float:
     if not isinstance(value, (int, float)) or not math.isfinite(value) or not 0.0 <= value <= 1.0:
         raise InvalidInputError(f"{name} must be a probability in [0, 1], got {value!r}")
     return float(value)
-
-
-def _require_sign(value: int, name: str) -> int:
-    if value not in (1, -1):
-        raise InvalidInputError(f"{name} must be +1 or -1, got {value!r}")
-    return int(value)
 
 
 def variation_states(
@@ -156,58 +156,11 @@ def two_level_conditional_average(
     state; it is an independent quantity, not the sum of the numerator terms,
     which is what lets the result leave the eigenvalue range.
     """
-    p_m_given_plus = _require_probability(p_m_given_plus, "p_m_given_plus")
-    p_m_given_minus = _require_probability(p_m_given_minus, "p_m_given_minus")
-    p_plus_psi = _require_probability(p_plus_psi, "p_plus_psi")
-    p_minus_psi = _require_probability(p_minus_psi, "p_minus_psi")
-    if p_m_psi <= P_FLOOR:
-        raise UnresolvableOutcomeError(
-            f"outcome probability {p_m_psi!r} is below the resolvable floor", outcome=outcome
-        )
-    return (p_m_given_plus * p_plus_psi - p_m_given_minus * p_minus_psi) / p_m_psi
-
-
-def classical_conditional_average(m1: int, p_error: float, mean_a: float) -> float:
-    """Bayesian update of the target expectation from the commuting outcome alone.
-
-    Interpolates between the prior expectation (random outcome, error
-    probability 1/2) and the outcome value itself (error-free measurement),
-    and always stays inside [-1, +1].
-    """
-    m1 = _require_sign(m1, "m1")
-    if not math.isfinite(p_error) or not 0.0 <= p_error <= 0.5:
-        raise InvalidInputError(f"p_error must lie in [0, 1/2], got {p_error!r}")
-    if not math.isfinite(mean_a) or abs(mean_a) > 1.0:
-        raise InvalidInputError(f"mean_a must lie in [-1, 1], got {mean_a!r}")
-    contrast = 1.0 - 2.0 * p_error
-    denominator = m1 + contrast * mean_a
-    if abs(denominator) <= 1e-12:
-        raise DegenerateBranchError(
-            f"conditional average for m1={m1:+d} is undefined: vanishing denominator"
-        )
-    return m1 * (contrast * m1 + mean_a) / denominator
-
-
-def sequential_conditional_average(
-    m1: int, m2: int, p_error: float, mean_a: float, p_joint: float
-) -> float:
-    """Conditional average for a joint outcome of the sequential measurement.
-
-    Because the HV readout is fully random for PM eigenstate inputs, m2 enters
-    only through the measured joint probability in the denominator; unlikely
-    readouts therefore amplify the estimate.
-    """
-    m1 = _require_sign(m1, "m1")
-    _require_sign(m2, "m2")
-    if not math.isfinite(p_error) or not 0.0 <= p_error <= 0.5:
-        raise InvalidInputError(f"p_error must lie in [0, 1/2], got {p_error!r}")
-    if not math.isfinite(mean_a) or abs(mean_a) > 1.0:
-        raise InvalidInputError(f"mean_a must lie in [-1, 1], got {mean_a!r}")
-    if p_joint <= P_FLOOR:
-        raise UnresolvableOutcomeError(
-            f"joint probability {p_joint!r} is below the resolvable floor", outcome=(m1, m2)
-        )
-    return (m1 * (1.0 - 2.0 * p_error) + mean_a) / (4.0 * p_joint)
+    terms = calibrated_terms(
+        {outcome: p_m_psi}, {outcome: (p_m_given_plus, p_m_given_minus)}, p_plus_psi, p_minus_psi
+    )
+    p, c = terms[outcome]
+    return conditional_average(c, p, outcome=outcome)
 
 
 def symmetric_error_probability(
@@ -286,38 +239,103 @@ class ErrorReport:
             raise InvalidInputError("excluded probability cannot be negative")
 
 
-def _error_report(
+OutcomeTerms = Mapping[Hashable, tuple[float, float]]
+
+
+def outcome_terms(
+    state: QubitState, povm: PovmSet, observable: DichotomicObservable
+) -> dict[Hashable, tuple[float, float]]:
+    """Per-outcome pairs (P(m), Re<psi|E_m A|psi>) by direct operator products."""
+    return {
+        element.label: (
+            born_probability(state, element),
+            real_cross_correlation(state, element, observable.op),
+        )
+        for element in povm.elements
+    }
+
+
+def calibrated_terms(
+    outcome_probs: Mapping[Hashable, float],
+    eigenstate_probs: Mapping[Hashable, tuple[float, float]],
+    p_plus_psi: float,
+    p_minus_psi: float,
+) -> dict[Hashable, tuple[float, float]]:
+    """Per-outcome pairs (P(m), c_m) from measured probabilities alone.
+
+    ``outcome_probs`` holds P(m|psi) from the direct run, ``eigenstate_probs``
+    holds (P(m|+), P(m|-)) from the eigenstate calibration runs, and the
+    eigenstate weights of the input complete the correlation
+    c_m = P(m|+) p_plus - P(m|-) p_minus of a two-level target.
+    """
+    p_plus_psi = _require_probability(p_plus_psi, "p_plus_psi")
+    p_minus_psi = _require_probability(p_minus_psi, "p_minus_psi")
+    if set(outcome_probs) != set(eigenstate_probs):
+        raise InvalidInputError("probability tables must share one outcome set")
+    terms = {}
+    for label, p in outcome_probs.items():
+        given_plus, given_minus = eigenstate_probs[label]
+        given_plus = _require_probability(given_plus, f"P({label!r}|+)")
+        given_minus = _require_probability(given_minus, f"P({label!r}|-)")
+        terms[label] = (
+            _require_probability(p, f"P({label!r})"),
+            given_plus * p_plus_psi - given_minus * p_minus_psi,
+        )
+    return terms
+
+
+def error_report(
+    terms: OutcomeTerms,
     mean_square: float,
     variance_initial: float,
-    terms: list[tuple[float, float, float]],
-    excluded_probability: float = 0.0,
-) -> ErrorReport:
-    """Assemble a report from (assigned value, probability, correlation) rows."""
+    assignments: EstimateTable | None = None,
+) -> tuple[EstimateTable, ErrorReport]:
+    """Optimal estimates and the squared error of an assignment, from (P, c) pairs.
+
+    The table holds the error-minimizing assignment c_m / P(m) per outcome,
+    ``None`` where P(m) is at or below ``P_FLOOR``.  Without ``assignments``
+    the report is the minimal error <A^2> - sum_m c_m^2 / P(m); with them it
+    is Ozawa's <A^2> + sum_m (A_m^2 P(m) - 2 A_m c_m), with the deviation
+    from the optimal assignment booked as ``residual``.  Unresolvable
+    outcomes contribute their probability to ``excluded_probability``.
+    """
+    if assignments is not None:
+        if set(assignments.labels()) != set(terms):
+            raise InvalidInputError("assignment table must cover exactly the outcome set")
+        if any(value is None for value in assignments.assignments.values()):
+            raise InvalidInputError("every outcome needs a finite assignment for error evaluation")
+    optimal: dict[Hashable, float | None] = {}
     epsilon_sq = mean_square
-    estimate_variance = 0.0
-    residual = 0.0
-    for assigned, p, c in terms:
-        epsilon_sq += assigned * assigned * p - 2.0 * assigned * c
-        if p > P_FLOOR:
-            pivot = c / p
+    estimate_variance = residual = excluded = 0.0
+    for label, (p, c) in terms.items():
+        pivot = c / p if p > P_FLOOR else None
+        optimal[label] = pivot
+        if pivot is not None:
             estimate_variance += pivot * c
-            residual += (assigned - pivot) ** 2 * p
         else:
-            # No stable optimal pivot exists; keep the identity exact by
-            # booking the raw error terms against the residual.
-            residual += assigned * assigned * p - 2.0 * assigned * c
-            excluded_probability += p
-    return ErrorReport(
+            excluded += p
+        if assignments is not None:
+            assigned = assignments[label]
+            raw = assigned * assigned * p - 2.0 * assigned * c
+            epsilon_sq += raw
+            # Without a stable pivot, booking the raw error terms against the
+            # residual keeps the decomposition identity exact.
+            residual += raw if pivot is None else (assigned - pivot) ** 2 * p
+    if assignments is None:
+        epsilon_sq = mean_square - estimate_variance
+    report = ErrorReport(
         epsilon_sq=epsilon_sq,
         mean_square=mean_square,
         variance_initial=variance_initial,
         estimate_variance=estimate_variance,
         residual=residual,
-        excluded_probability=excluded_probability,
+        excluded_probability=excluded,
     )
+    return EstimateTable(optimal), report
 
 
-def _check_nonnegative(report: ErrorReport) -> ErrorReport:
+def check_nonnegative(report: ErrorReport) -> ErrorReport:
+    """Pass an operator-route report through; a negative error is a model fault."""
     if report.epsilon_sq < -DECOMPOSITION_TOL:
         raise InvalidInputError(
             f"squared error {report.epsilon_sq!r} is negative beyond tolerance"
@@ -325,9 +343,11 @@ def _check_nonnegative(report: ErrorReport) -> ErrorReport:
     return report
 
 
-def _require_coverage(assignments: EstimateTable, povm: PovmSet) -> None:
-    if set(assignments.labels()) != set(povm.labels()):
-        raise InvalidInputError("assignment table must cover exactly the POVM outcome set")
+def _moments(state: QubitState, observable: DichotomicObservable) -> tuple[float, float]:
+    """<A^2> and the prior variance <A^2> - <A>^2."""
+    mean = expectation(state, observable.op)
+    mean_square = expectation(state, observable.op @ observable.op)
+    return mean_square, mean_square - mean * mean
 
 
 def ozawa_error(
@@ -342,19 +362,8 @@ def ozawa_error(
     reports the decomposition into prior moment, estimate variance, and
     residual mis-assignment.
     """
-    _require_coverage(assignments, povm)
-    if any(value is None for value in assignments.assignments.values()):
-        raise InvalidInputError("every outcome needs a finite assignment for error evaluation")
-    mean = expectation(state, observable.op)
-    mean_square = expectation(state, observable.op @ observable.op)
-    terms = []
-    for element in povm.elements:
-        p = born_probability(state, element)
-        c = real_cross_correlation(state, element, observable.op)
-        terms.append((assignments[element.label], p, c))
-    return _check_nonnegative(
-        _error_report(mean_square, mean_square - mean * mean, terms)
-    )
+    terms = outcome_terms(state, povm, observable)
+    return check_nonnegative(error_report(terms, *_moments(state, observable), assignments)[1])
 
 
 def optimal_error(
@@ -366,32 +375,9 @@ def optimal_error(
     their probability is surfaced as ``excluded_probability`` in the report
     and they contribute nothing to the estimate variance.
     """
-    mean = expectation(state, observable.op)
-    mean_square = expectation(state, observable.op @ observable.op)
-    assignments: dict[Hashable, float | None] = {}
-    estimate_variance = 0.0
-    excluded = 0.0
-    for element in povm.elements:
-        p = born_probability(state, element)
-        c = real_cross_correlation(state, element, observable.op)
-        if p > P_FLOOR:
-            best = c / p
-            assignments[element.label] = best
-            estimate_variance += best * c
-        else:
-            assignments[element.label] = None
-            excluded += p
-    report = _check_nonnegative(
-        ErrorReport(
-            epsilon_sq=mean_square - estimate_variance,
-            mean_square=mean_square,
-            variance_initial=mean_square - mean * mean,
-            estimate_variance=estimate_variance,
-            residual=0.0,
-            excluded_probability=excluded,
-        )
-    )
-    return EstimateTable(assignments), report
+    terms = outcome_terms(state, povm, observable)
+    table, report = error_report(terms, *_moments(state, observable))
+    return table, check_nonnegative(report)
 
 
 def two_level_ozawa_error(
@@ -403,28 +389,13 @@ def two_level_ozawa_error(
 ) -> ErrorReport:
     """Squared error evaluated purely from measured probabilities.
 
-    ``outcome_probs`` holds P(m|psi) from the direct run;
-    ``eigenstate_probs`` holds (P(m|+), P(m|-)) from the eigenstate
-    calibration runs; the eigenstate weights of the input complete the
-    correlation reconstruction.  Sampling noise can push the plug-in estimate
-    slightly negative, so unlike :func:`ozawa_error` no sign gate is applied.
+    The inputs are those of :func:`calibrated_terms`.  Sampling noise can push
+    the plug-in estimate slightly negative, so unlike :func:`ozawa_error` no
+    sign gate is applied.
     """
-    p_plus_psi = _require_probability(p_plus_psi, "p_plus_psi")
-    p_minus_psi = _require_probability(p_minus_psi, "p_minus_psi")
-    if set(assignments.labels()) != set(outcome_probs) or set(outcome_probs) != set(
-        eigenstate_probs
-    ):
-        raise InvalidInputError("probability tables and assignments must share one outcome set")
-    terms = []
-    for label, p in outcome_probs.items():
-        assigned = assignments[label]
-        if assigned is None:
-            raise InvalidInputError("every outcome needs a finite assignment for error evaluation")
-        given_plus, given_minus = eigenstate_probs[label]
-        c = given_plus * p_plus_psi - given_minus * p_minus_psi
-        terms.append((assigned, _require_probability(p, f"P({label!r})"), c))
+    terms = calibrated_terms(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi)
     mean = p_plus_psi - p_minus_psi
-    return _error_report(1.0, 1.0 - mean * mean, terms)
+    return error_report(terms, 1.0, 1.0 - mean * mean, assignments)[1]
 
 
 def two_level_optimal_error(
@@ -434,34 +405,9 @@ def two_level_optimal_error(
     p_minus_psi: float,
 ) -> tuple[EstimateTable, ErrorReport]:
     """Probability-based counterpart of :func:`optimal_error`."""
-    p_plus_psi = _require_probability(p_plus_psi, "p_plus_psi")
-    p_minus_psi = _require_probability(p_minus_psi, "p_minus_psi")
-    if set(outcome_probs) != set(eigenstate_probs):
-        raise InvalidInputError("probability tables must share one outcome set")
+    terms = calibrated_terms(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi)
     mean = p_plus_psi - p_minus_psi
-    assignments: dict[Hashable, float | None] = {}
-    estimate_variance = 0.0
-    excluded = 0.0
-    for label, p in outcome_probs.items():
-        p = _require_probability(p, f"P({label!r})")
-        given_plus, given_minus = eigenstate_probs[label]
-        c = given_plus * p_plus_psi - given_minus * p_minus_psi
-        if p > P_FLOOR:
-            best = c / p
-            assignments[label] = best
-            estimate_variance += best * c
-        else:
-            assignments[label] = None
-            excluded += p
-    report = ErrorReport(
-        epsilon_sq=1.0 - estimate_variance,
-        mean_square=1.0,
-        variance_initial=1.0 - mean * mean,
-        estimate_variance=estimate_variance,
-        residual=0.0,
-        excluded_probability=excluded,
-    )
-    return EstimateTable(assignments), report
+    return error_report(terms, 1.0, 1.0 - mean * mean)
 
 
 @dataclass(frozen=True)

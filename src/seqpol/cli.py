@@ -15,16 +15,11 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import (
-    born_probability,
-    expectation,
-    make_linear_polarization,
-    make_stokes,
-    real_cross_correlation,
-)
+from .algebra import born_probability, expectation, make_linear_polarization, make_stokes
 from .analysis import (
     ReconstructionConfig,
     conditional_average,
+    outcome_terms,
     quasi_probability,
     reconstruct_correlation,
     variation_states,
@@ -293,6 +288,7 @@ def _reconstruct_records(config: RunConfig) -> list[dict]:
     records = []
     for theta in config.theta_grid:
         povm = sequential_povm(SetupParams(theta, config.v_pm, config.v_hv))
+        terms = outcome_terms(psi, povm, target)
         for element in povm.elements:
             reconstructed = reconstruct_correlation(
                 born_probability(plus_state, element),
@@ -301,8 +297,7 @@ def _reconstruct_records(config: RunConfig) -> list[dict]:
                 mean_a2,
                 reconstruction,
             )
-            direct = real_cross_correlation(psi, element, target.op)
-            p_outcome = born_probability(psi, element)
+            p_outcome, direct = terms[element.label]
             try:
                 a_opt = conditional_average(direct, p_outcome, outcome=element.label)
             except UnresolvableOutcomeError:

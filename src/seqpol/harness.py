@@ -13,25 +13,17 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import (
-    QubitState,
-    born_probability,
-    expectation,
-    make_linear_polarization,
-    make_stokes,
-    real_cross_correlation,
-)
+from .algebra import expectation, make_linear_polarization, make_stokes
 from .analysis import (
     EstimateTable,
-    optimal_error,
-    ozawa_error,
+    OutcomeTerms,
+    calibrated_terms,
+    check_nonnegative,
+    error_report,
+    outcome_terms,
     symmetric_error_probability,
-    two_level_conditional_average,
-    two_level_optimal_error,
-    two_level_ozawa_error,
-    conditional_average,
 )
-from .exceptions import InvalidInputError, UnresolvableOutcomeError
+from .exceptions import InvalidInputError
 from .instrument import (
     M1_VALUES,
     OUTCOMES,
@@ -41,17 +33,21 @@ from .instrument import (
     V_PM_DEFAULT,
     outcome_probabilities,
     pm_error_probability,
-    pm_marginal_povm,
     sequential_povm,
 )
 
-STRATEGY_EIGEN = "eigenvalue-assignment"
-STRATEGY_OPT_M1 = "optimal-m1"
-STRATEGY_OPT_M1M2 = "optimal-m1m2"
-ALL_STRATEGIES = frozenset((STRATEGY_EIGEN, STRATEGY_OPT_M1, STRATEGY_OPT_M1M2))
-
 DEFAULT_INPUT_ANGLE_DEG = 67.5
 BISECTION_TOL_DEG = 0.01
+# A curve value counts toward a sign change only above this many machine
+# epsilons times its noise scale.  P(m) and c_m are traces of operators of
+# norm at most one, so each carries an absolute rounding error of order
+# epsilon.  Where the curves vanish identically (the swap gap on eigenstate
+# inputs, c(-1,-1) on H and V inputs at v_pm = 0) the noise stays below
+# 0.3 epsilon of the scale.
+NOISE_EPS = 8.0 * np.finfo(float).eps
+
+# Assigning the eigenvalue of the commuting first measurement to m1.
+_EIGENVALUE_ASSIGNMENT = EstimateTable({m1: float(m1) for m1 in M1_VALUES})
 
 CROSSING_SIGN_FLIP = "aopt[m1=-1] zero crossing"
 CROSSING_BRANCH_SWAP = "aopt[m1=-1 m2=+1] overtakes aopt[m1=+1 m2=+1]"
@@ -64,23 +60,20 @@ def default_theta_grid() -> tuple[float, ...]:
 
 @dataclass(frozen=True)
 class SweepConfig:
-    """Grid, instrument visibilities, input preparation, and strategy set."""
+    """Grid, instrument visibilities, and input preparation."""
 
-    theta_grid: tuple[float, ...] = ()
+    theta_grid: tuple[float, ...] = default_theta_grid()
     v_pm: float = V_PM_DEFAULT
     v_hv: float = V_HV_DEFAULT
     input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG
-    strategies: frozenset[str] = ALL_STRATEGIES
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.theta_grid) or default_theta_grid()
+        grid = tuple(float(t) for t in self.theta_grid)
+        if not grid:
+            raise InvalidInputError("theta_grid needs at least one strength setting")
         for theta in grid:
             SetupParams(theta, self.v_pm, self.v_hv)  # range validation
-        strategies = frozenset(self.strategies)
-        if not strategies or not strategies <= ALL_STRATEGIES:
-            raise InvalidInputError(f"strategies must be a non-empty subset of {sorted(ALL_STRATEGIES)}")
         object.__setattr__(self, "theta_grid", grid)
-        object.__setattr__(self, "strategies", strategies)
 
     def setup(self, theta_deg: float) -> SetupParams:
         return SetupParams(theta_deg, self.v_pm, self.v_hv)
@@ -90,8 +83,9 @@ class SweepConfig:
 class SweepRow:
     """All quantities tracked per strength setting.
 
-    Conditional averages are ``None`` for unresolvable outcomes, the error
-    fields are ``None`` for strategies that were not requested.
+    Conditional averages are ``None`` for unresolvable outcomes.  The three
+    squared errors belong to the eigenvalue assignment to m1, the optimal
+    estimate from m1 alone, and the optimal estimate from both outcomes.
     """
 
     theta_deg: float
@@ -99,9 +93,9 @@ class SweepRow:
     probs: OutcomeDistribution
     a_opt_m1: Mapping[int, float | None]
     a_opt_m1m2: Mapping[tuple[int, int], float | None]
-    eps_sq_eigen: float | None
-    eps_sq_opt_m1: float | None
-    eps_sq_opt_m1m2: float | None
+    eps_sq_eigen: float
+    eps_sq_opt_m1: float
+    eps_sq_opt_m1m2: float
 
 
 def row_as_dict(row: SweepRow) -> dict[str, float | None]:
@@ -125,54 +119,45 @@ def row_as_dict(row: SweepRow) -> dict[str, float | None]:
     }
 
 
+def m1_terms(terms: OutcomeTerms) -> dict[int, tuple[float, float]]:
+    """(P, c) of m1 alone: both are linear in the effect, so they add over m2."""
+    summed = {m1: (0.0, 0.0) for m1 in M1_VALUES}
+    for (m1, _), (p, c) in terms.items():
+        p_sum, c_sum = summed[m1]
+        summed[m1] = (p_sum + p, c_sum + c)
+    return summed
+
+
 def analytic_row(
-    params: SetupParams,
-    input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG,
-    strategies: frozenset[str] = ALL_STRATEGIES,
+    params: SetupParams, input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG
 ) -> SweepRow:
     """One deterministic sweep row straight from the instrument model."""
     state = make_linear_polarization(input_angle_deg)
     target = make_stokes("PM")
-    marginal = pm_marginal_povm(params)
-    sequential = sequential_povm(params)
-
-    def estimates(povm):
-        table = {}
-        for element in povm.elements:
-            c = real_cross_correlation(state, element, target.op)
-            p = born_probability(state, element)
-            try:
-                table[element.label] = conditional_average(c, p, outcome=element.label)
-            except UnresolvableOutcomeError:
-                table[element.label] = None
-        return table
-
-    eps_eigen = eps_opt_m1 = eps_opt_m1m2 = None
-    if STRATEGY_EIGEN in strategies:
-        eigen_table = EstimateTable({m1: float(m1) for m1 in M1_VALUES})
-        eps_eigen = ozawa_error(state, marginal, target, eigen_table).epsilon_sq
-    if STRATEGY_OPT_M1 in strategies:
-        eps_opt_m1 = optimal_error(state, marginal, target)[1].epsilon_sq
-    if STRATEGY_OPT_M1M2 in strategies:
-        eps_opt_m1m2 = optimal_error(state, sequential, target)[1].epsilon_sq
-
+    mean = expectation(state, target.op)
+    mean_square = expectation(state, target.op @ target.op)
+    variance = mean_square - mean * mean
+    terms = outcome_terms(state, sequential_povm(params), target)
+    marginal = m1_terms(terms)
+    a_opt_m1, opt_m1 = error_report(marginal, mean_square, variance)
+    a_opt_m1m2, opt_m1m2 = error_report(terms, mean_square, variance)
+    _, eigen = error_report(marginal, mean_square, variance, _EIGENVALUE_ASSIGNMENT)
     return SweepRow(
         theta_deg=params.theta_deg,
         p_error=pm_error_probability(params),
-        probs=outcome_probabilities(params, state),
-        a_opt_m1=estimates(marginal),
-        a_opt_m1m2=estimates(sequential),
-        eps_sq_eigen=eps_eigen,
-        eps_sq_opt_m1=eps_opt_m1,
-        eps_sq_opt_m1m2=eps_opt_m1m2,
+        probs=OutcomeDistribution({label: p for label, (p, _) in terms.items()}),
+        a_opt_m1=a_opt_m1.assignments,
+        a_opt_m1m2=a_opt_m1m2.assignments,
+        eps_sq_eigen=check_nonnegative(eigen).epsilon_sq,
+        eps_sq_opt_m1=check_nonnegative(opt_m1).epsilon_sq,
+        eps_sq_opt_m1m2=check_nonnegative(opt_m1m2).epsilon_sq,
     )
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """One row per grid point, fully analytic and deterministic."""
     return [
-        analytic_row(config.setup(theta), config.input_angle_deg, config.strategies)
-        for theta in config.theta_grid
+        analytic_row(config.setup(theta), config.input_angle_deg) for theta in config.theta_grid
     ]
 
 
@@ -197,56 +182,58 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float) -> f
     return 0.5 * (lo + hi)
 
 
-def _first_root(f: Callable[[float], float], grid: tuple[float, ...]) -> float | None:
-    values = [f(theta) for theta in grid]
-    for i, value in enumerate(values):
-        if value == 0.0:
-            return grid[i]
-        if i and (value < 0.0) != (values[i - 1] < 0.0):
-            return _bisect(f, grid[i - 1], grid[i], values[i - 1])
+def _first_root(
+    f: Callable[[float], tuple[float, float]], grid: tuple[float, ...]
+) -> float | None:
+    """First bracketed sign change of ``f(theta) = (value, noise scale)``.
+
+    Values within ``NOISE_EPS`` times their scale carry no sign and are
+    skipped, so a curve that is zero up to rounding has no root.
+    """
+    last = None
+    for theta in grid:
+        value, scale = f(theta)
+        if abs(value) <= NOISE_EPS * scale:
+            continue
+        if last is not None and (value < 0.0) != (last[1] < 0.0):
+            return _bisect(lambda t: f(t)[0], last[0], theta, last[1])
+        last = (theta, value)
     return None
 
 
 def find_crossings(config: SweepConfig) -> list[Crossing]:
     """Bracketed, bisected roots of the two characteristic estimate curves.
 
-    The first root is where the conditional averages for m1 = -1 change sign
-    (the prior bias and the measurement evidence balance).  The second is
-    where the m2 = +1 estimates of the two m1 branches cross; it is located
-    through the pole-free product form c(-1,+1) P(+1,+1) - c(+1,+1) P(-1,+1),
-    which shares its zeros with the estimate difference.
+    The first root is where the conditional average for (m1, m2) = (-1, -1)
+    changes sign (the prior bias and the measurement evidence balance); it is
+    located through the pole-free numerator c(-1,-1), which shares its sign
+    with the estimate wherever P(-1,-1) > 0.  The second is where the m2 = +1
+    estimates of the two m1 branches cross; it is located through the
+    pole-free product form c(-1,+1) P(+1,+1) - c(+1,+1) P(-1,+1), which
+    shares its zeros with the estimate difference.
     """
     state = make_linear_polarization(config.input_angle_deg)
     target = make_stokes("PM")
 
-    def sequential_terms(theta: float) -> dict[tuple[int, int], tuple[float, float]]:
-        povm = sequential_povm(config.setup(theta))
-        return {
-            element.label: (
-                real_cross_correlation(state, element, target.op),
-                born_probability(state, element),
-            )
-            for element in povm.elements
-        }
+    def terms(theta: float) -> dict[tuple[int, int], tuple[float, float]]:
+        return outcome_terms(state, sequential_povm(config.setup(theta)), target)
 
-    def branch_estimate(theta: float) -> float:
-        # The (-1, -1) outcome keeps a probability bounded away from zero over
-        # the whole strength range, so the ratio has no pole.
-        c, p = sequential_terms(theta)[(-1, -1)]
-        return c / p
+    def branch_numerator(theta: float) -> tuple[float, float]:
+        _, c_mm = terms(theta)[(-1, -1)]
+        return c_mm, 1.0
 
-    def branch_swap_gap(theta: float) -> float:
-        terms = sequential_terms(theta)
-        c_mp, p_mp = terms[(-1, 1)]
-        c_pp, p_pp = terms[(1, 1)]
-        return c_mp * p_pp - c_pp * p_mp
+    def branch_swap_gap(theta: float) -> tuple[float, float]:
+        t = terms(theta)
+        p_mp, c_mp = t[(-1, 1)]
+        p_pp, c_pp = t[(1, 1)]
+        return c_mp * p_pp - c_pp * p_mp, abs(c_mp) + p_pp + abs(c_pp) + p_mp
 
+    # The swap gap vanishes identically at zero strength, where the noise
+    # rule of _first_root skips it.
     grid = tuple(sorted(config.theta_grid))
-    # The swap gap vanishes identically at zero strength; scan above it.
-    swap_grid = tuple(theta for theta in grid if theta > 0.0)
     return [
-        Crossing(CROSSING_SIGN_FLIP, _first_root(branch_estimate, grid)),
-        Crossing(CROSSING_BRANCH_SWAP, _first_root(branch_swap_gap, swap_grid)),
+        Crossing(CROSSING_SIGN_FLIP, _first_root(branch_numerator, grid)),
+        Crossing(CROSSING_BRANCH_SWAP, _first_root(branch_swap_gap, grid)),
     ]
 
 
@@ -317,9 +304,7 @@ def monte_carlo_counts(
     )
 
 
-def estimate_from_counts(
-    record: CountRecord, strategies: frozenset[str] = ALL_STRATEGIES
-) -> SweepRow:
+def estimate_from_counts(record: CountRecord) -> SweepRow:
     """Run the estimation pipeline on measured frequencies.
 
     Eigenstate weights of the input come from the known preparation angle, as
@@ -340,58 +325,34 @@ def estimate_from_counts(
     mean_a = math.sin(math.radians(2.0 * record.input_angle_deg))
     p_plus_psi = 0.5 * (1.0 + mean_a)
     p_minus_psi = 0.5 * (1.0 - mean_a)
+    mean = p_plus_psi - p_minus_psi
+    variance = 1.0 - mean * mean
 
-    p_psi = frequencies["psi"]
-    eigen_probs = {m: (frequencies["plus"][m], frequencies["minus"][m]) for m in OUTCOMES}
+    plus, minus = frequencies["plus"], frequencies["minus"]
+    terms = calibrated_terms(
+        frequencies["psi"], {m: (plus[m], minus[m]) for m in OUTCOMES}, p_plus_psi, p_minus_psi
+    )
+    marginal = m1_terms(terms)
+    a_opt_m1, opt_m1 = error_report(marginal, 1.0, variance)
+    a_opt_m1m2, opt_m1m2 = error_report(terms, 1.0, variance)
 
-    def marginal(table: Mapping[tuple[int, int], float]) -> dict[int, float]:
-        return {m1: sum(p for (a, _), p in table.items() if a == m1) for m1 in M1_VALUES}
-
-    pm1_psi = marginal(p_psi)
-    pm1_plus = marginal(frequencies["plus"])
-    pm1_minus = marginal(frequencies["minus"])
-    eigen_probs_m1 = {m1: (pm1_plus[m1], pm1_minus[m1]) for m1 in M1_VALUES}
-
-    def conditional(outcomes, probs, eigen) -> dict:
-        table = {}
-        for m in outcomes:
-            given_plus, given_minus = eigen[m]
-            try:
-                table[m] = two_level_conditional_average(
-                    given_plus, given_minus, p_plus_psi, p_minus_psi, probs[m], outcome=m
-                )
-            except UnresolvableOutcomeError:
-                table[m] = None
-        return table
-
-    eps_eigen = eps_opt_m1 = eps_opt_m1m2 = None
-    if STRATEGY_EIGEN in strategies:
-        symmetric = symmetric_error_probability(pm1_plus[-1], pm1_minus[1])
-        if symmetric is not None:
-            eps_eigen = 4.0 * symmetric
-        else:
-            eigen_table = EstimateTable({m1: float(m1) for m1 in M1_VALUES})
-            eps_eigen = two_level_ozawa_error(
-                pm1_psi, eigen_probs_m1, p_plus_psi, p_minus_psi, eigen_table
-            ).epsilon_sq
-    if STRATEGY_OPT_M1 in strategies:
-        eps_opt_m1 = two_level_optimal_error(
-            pm1_psi, eigen_probs_m1, p_plus_psi, p_minus_psi
-        )[1].epsilon_sq
-    if STRATEGY_OPT_M1M2 in strategies:
-        eps_opt_m1m2 = two_level_optimal_error(
-            p_psi, eigen_probs, p_plus_psi, p_minus_psi
-        )[1].epsilon_sq
+    flip_plus = plus[(-1, 1)] + plus[(-1, -1)]
+    flip_minus = minus[(1, 1)] + minus[(1, -1)]
+    symmetric = symmetric_error_probability(flip_plus, flip_minus)
+    if symmetric is not None:
+        eps_eigen = 4.0 * symmetric
+    else:
+        eps_eigen = error_report(marginal, 1.0, variance, _EIGENVALUE_ASSIGNMENT)[1].epsilon_sq
 
     return SweepRow(
         theta_deg=record.setup.theta_deg,
-        p_error=0.5 * (pm1_plus[-1] + pm1_minus[1]),
-        probs=OutcomeDistribution(p_psi),
-        a_opt_m1=conditional(M1_VALUES, pm1_psi, eigen_probs_m1),
-        a_opt_m1m2=conditional(OUTCOMES, p_psi, eigen_probs),
+        p_error=0.5 * (flip_plus + flip_minus),
+        probs=OutcomeDistribution(frequencies["psi"]),
+        a_opt_m1=a_opt_m1.assignments,
+        a_opt_m1m2=a_opt_m1m2.assignments,
         eps_sq_eigen=eps_eigen,
-        eps_sq_opt_m1=eps_opt_m1,
-        eps_sq_opt_m1m2=eps_opt_m1m2,
+        eps_sq_opt_m1=opt_m1.epsilon_sq,
+        eps_sq_opt_m1m2=opt_m1m2.epsilon_sq,
     )
 
 

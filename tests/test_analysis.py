@@ -16,7 +16,6 @@ from seqpol import (
     SetupParams,
     UnresolvableOutcomeError,
     born_probability,
-    classical_conditional_average,
     conditional_average,
     expectation,
     make_linear_polarization,
@@ -29,7 +28,6 @@ from seqpol import (
     quasi_probability,
     real_cross_correlation,
     reconstruct_correlation,
-    sequential_conditional_average,
     sequential_povm,
     symmetric_error_probability,
     two_level_conditional_average,
@@ -37,7 +35,10 @@ from seqpol import (
     two_level_ozawa_error,
     variation_states,
 )
+from seqpol.analysis import calibrated_terms, outcome_terms
+from seqpol.harness import m1_terms
 
+from closed_forms import classical_conditional_average, sequential_conditional_average
 from conftest import SQRT2, random_dichotomic, random_povm, random_state
 
 A_MEAN = 1 / SQRT2  # <S_PM> of the 67.5 degree input
@@ -417,6 +418,43 @@ class TestOptimalError:
         assert table["rare"] is None
         assert table["rest"] is not None
         assert 0.0 <= report.excluded_probability <= tiny
+
+
+def _with_edges(edges, lo, hi):
+    return st.one_of(st.sampled_from(edges), st.floats(min_value=lo, max_value=hi))
+
+
+class TestOutcomeTermSources:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        theta=_with_edges([0.0, 22.5], 0.0, 22.5),
+        v_pm=_with_edges([0.0, 0.93, 1.0], 0.0, 1.0),
+        v_hv=_with_edges([0.0, 0.9976, 1.0], 0.0, 1.0),
+        angle=_with_edges([0.0, 45.0, -45.0, 22.5, 90.0, 67.5], -180.0, 180.0),
+    )
+    def test_sources_agree_with_the_operator_oracle(self, theta, v_pm, v_hv, angle):
+        params = SetupParams(theta, v_pm, v_hv)
+        psi = make_linear_polarization(angle)
+        pm = make_stokes("PM")
+        povm = sequential_povm(params)
+        direct = outcome_terms(psi, povm, pm)
+
+        summed = m1_terms(direct)
+        marginal = outcome_terms(psi, pm_marginal_povm(params), pm)
+        assert list(summed) == list(marginal)
+        for label, (p, c) in marginal.items():
+            assert summed[label] == pytest.approx((p, c), abs=1e-12)
+
+        p_state = make_linear_polarization(45.0)
+        m_state = make_linear_polarization(-45.0)
+        calibrated = calibrated_terms(
+            {el.label: born_probability(psi, el) for el in povm},
+            {el.label: (born_probability(p_state, el), born_probability(m_state, el)) for el in povm},
+            *eigenstate_weights(math.sin(math.radians(2.0 * angle))),
+        )
+        assert list(calibrated) == list(direct)
+        for label, (p, c) in direct.items():
+            assert calibrated[label] == pytest.approx((p, c), abs=1e-12)
 
 
 class TestTwoLevelErrorPaths:

@@ -1,4 +1,6 @@
 import csv
+import io
+import itertools
 import json
 
 import pytest
@@ -213,6 +215,29 @@ class TestCrossingsCommand:
         rows = read_csv(out)
         assert rows[0]["theta_deg"] == ""
 
+    @pytest.mark.parametrize("flags", [
+        ["--input-angle", "0", "--v-pm", "1", "--v-hv", "1"],
+        ["--input-angle", "45", "--v-pm", "1", "--v-hv", "1"],
+        ["--input-angle", "22.5", "--v-pm", "1", "--v-hv", "1"],
+        ["--input-angle", "0", "--v-pm", "0", "--v-hv", "1"],
+    ])
+    def test_vanishing_branch_probability_still_gives_rows(self, flags, capsys):
+        # P(-1,-1) is zero somewhere on the grid for each of these inputs
+        assert main(["crossings", *flags]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert len(list(csv.DictReader(io.StringIO(captured.out)))) == 2
+
+    @pytest.mark.parametrize("flags", [
+        ["--input-angle", "45"],
+        ["--input-angle", "-45", "--v-pm", "1", "--v-hv", "1"],
+    ])
+    def test_eigenstate_input_has_no_branch_swap(self, flags, capsys):
+        # c_m = +-P(m) for a P or M input, so the swap gap is rounding noise
+        assert main(["crossings", *flags]) == 0
+        rows = list(csv.DictReader(io.StringIO(capsys.readouterr().out)))
+        assert rows[1]["theta_deg"] == ""
+
 
 class TestReconstructCommand:
     def test_reconstruction_matches_oracle_everywhere(self, tmp_path):
@@ -275,3 +300,24 @@ class TestMonteCarloCommand:
               "--n-photons", "10000", "--seed", "3", "--output", str(out)])
         rows = read_csv(out)
         assert rows[0] != rows[1]
+
+
+EDGE_GRIDS = (["--steps", "6"], ["--theta", "0"], ["--theta", "22.5"])
+EDGE_VISIBILITIES = list(itertools.product(("0", "0.93", "1"), ("0", "1")))
+
+
+@pytest.mark.parametrize("command", ["sweep", "crossings", "montecarlo", "reconstruct", "lgi"])
+@pytest.mark.parametrize("angle", ["0", "45", "-45", "22.5", "90", "67.5"])
+def test_edge_inputs_give_rows_or_one_error_line(command, angle, capsys):
+    extra = ["--n-photons", "1"] if command == "montecarlo" else []
+    for grid, (v_pm, v_hv) in itertools.product(EDGE_GRIDS, EDGE_VISIBILITIES):
+        argv = [command, "--input-angle", angle, "--v-pm", v_pm, "--v-hv", v_hv, *grid, *extra]
+        status = main(argv)
+        captured = capsys.readouterr()
+        if status == 0:
+            assert captured.err == "", argv
+            assert len(list(csv.DictReader(io.StringIO(captured.out)))) >= 1, argv
+        else:
+            assert status in (1, 2), argv
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error:"), argv

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -18,11 +19,8 @@ from seqpol import (
     run_sweep,
 )
 from seqpol.harness import (
-    ALL_STRATEGIES,
     CROSSING_BRANCH_SWAP,
     CROSSING_SIGN_FLIP,
-    STRATEGY_EIGEN,
-    STRATEGY_OPT_M1,
     analytic_row,
     row_as_dict,
 )
@@ -41,17 +39,14 @@ class TestSweepConfig:
         assert len(config.theta_grid) == 46
         assert config.theta_grid[0] == 0.0
         assert config.theta_grid[-1] == 22.5
-        assert config.strategies == ALL_STRATEGIES
 
     def test_rejects_out_of_range_grid(self):
         with pytest.raises(InvalidInputError):
             SweepConfig(theta_grid=(0.0, 30.0))
 
-    def test_rejects_unknown_strategy(self):
+    def test_rejects_empty_grid(self):
         with pytest.raises(InvalidInputError):
-            SweepConfig(strategies=frozenset({"guess"}))
-        with pytest.raises(InvalidInputError):
-            SweepConfig(strategies=frozenset())
+            SweepConfig(theta_grid=())
 
 
 class TestRunSweep:
@@ -85,13 +80,6 @@ class TestRunSweep:
         values = [row.eps_sq_opt_m1 for row in rows]
         for previous, current in zip(values, values[1:]):
             assert current <= previous + 1e-12
-
-    def test_unselected_strategies_left_out(self):
-        config = SweepConfig(theta_grid=(5.0,), strategies=frozenset({STRATEGY_EIGEN}))
-        row = run_sweep(config)[0]
-        assert row.eps_sq_eigen is not None
-        assert row.eps_sq_opt_m1 is None
-        assert row.eps_sq_opt_m1m2 is None
 
     def test_rows_are_deterministic(self):
         config = SweepConfig(theta_grid=(3.0, 12.0))
@@ -129,6 +117,17 @@ class TestFindCrossings:
     def test_swap_root_is_not_reported_at_zero_strength(self):
         crossings = dict_of(find_crossings(SweepConfig()))
         assert crossings[CROSSING_BRANCH_SWAP] > 1.0
+
+    @pytest.mark.parametrize("angle", [45.0, -45.0, 135.0, -135.0, 225.0])
+    def test_eigenstate_inputs_have_no_crossings(self, angle):
+        # c_m = +-P(m) for a P or M input: c(-1,-1) keeps its sign and the
+        # swap gap vanishes identically, so any root would be rounding noise
+        for v_pm, v_hv in itertools.product((0.0, 0.3, 0.93, 1.0), (0.0, 0.5, 0.9976, 1.0)):
+            config = SweepConfig(v_pm=v_pm, v_hv=v_hv, input_angle_deg=angle)
+            assert dict_of(find_crossings(config)) == {
+                CROSSING_SIGN_FLIP: None,
+                CROSSING_BRANCH_SWAP: None,
+            }, (v_pm, v_hv)
 
 
 def dict_of(crossings):
