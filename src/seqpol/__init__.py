@@ -12,21 +12,15 @@ from .algebra import (
     IDENTITY,
     PovmElement,
     PovmSet,
-    PovmValidation,
     QubitState,
     TAU_ALG,
-    TAU_HERM,
-    TAU_POVM,
     as_operator,
     born_probability,
     expectation,
     hermitian_eigenvalues,
-    is_hermitian,
     make_linear_polarization,
     make_stokes,
-    min_eigenvalue,
     real_cross_correlation,
-    require_hermitian,
     validate_povm,
 )
 from .analysis import (

@@ -13,7 +13,7 @@ function of its inputs, so concurrent evaluation needs no coordination.
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterator, Mapping
+from typing import Hashable, Iterator
 
 import numpy as np
 
@@ -46,12 +46,8 @@ def as_operator(entries) -> np.ndarray:
     return _frozen(op)
 
 
-def is_hermitian(op: np.ndarray, tol: float = TAU_HERM) -> bool:
-    return float(np.max(np.abs(op - op.conj().T))) <= tol
-
-
 def require_hermitian(op: np.ndarray, tol: float = TAU_HERM) -> np.ndarray:
-    if not is_hermitian(op, tol):
+    if not float(np.max(np.abs(op - op.conj().T))) <= tol:
         raise InvalidInputError("operator is not Hermitian within tolerance")
     return op
 
@@ -61,10 +57,6 @@ def hermitian_eigenvalues(op: np.ndarray) -> tuple[float, float]:
     mean = 0.5 * (op[0, 0].real + op[1, 1].real)
     radius = math.hypot(0.5 * (op[0, 0].real - op[1, 1].real), abs(op[0, 1]))
     return mean - radius, mean + radius
-
-
-def min_eigenvalue(op: np.ndarray) -> float:
-    return hermitian_eigenvalues(op)[0]
 
 
 IDENTITY = as_operator(np.eye(2))
@@ -87,7 +79,7 @@ class QubitState:
         require_hermitian(rho, TAU_HERM)
         if abs(np.trace(rho).real - 1.0) > TAU_ALG:
             raise InvalidInputError("density matrix must have unit trace")
-        if min_eigenvalue(rho) < -TAU_ALG:
+        if hermitian_eigenvalues(rho)[0] < -TAU_ALG:
             raise InvalidInputError("density matrix must be positive semidefinite")
         object.__setattr__(self, "density", rho)
         if self.vector is not None:
@@ -130,22 +122,18 @@ def make_linear_polarization(angle_deg: float) -> QubitState:
 class DichotomicObservable:
     """Hermitian operator with eigenvalues exactly +1 and -1.
 
-    The spectral projectors are cached at construction; because the operator
-    squares to the identity they are simply (1 +- op) / 2.
+    Because the operator squares to the identity, its spectral projectors are
+    (1 +- op) / 2; quasi-probabilities use them through the pair (P, c).
     """
 
     op: np.ndarray
-    projector_plus: np.ndarray
-    projector_minus: np.ndarray
 
     @classmethod
     def from_operator(cls, entries) -> "DichotomicObservable":
         op = require_hermitian(as_operator(entries))
         if float(np.max(np.abs(op @ op - IDENTITY))) > TAU_ALG:
             raise InvalidInputError("a dichotomic observable must square to the identity")
-        plus = _frozen((IDENTITY + op) / 2.0)
-        minus = _frozen((IDENTITY - op) / 2.0)
-        return cls(op=op, projector_plus=plus, projector_minus=minus)
+        return cls(op=op)
 
 
 def make_stokes(axis: str) -> DichotomicObservable:
@@ -170,7 +158,7 @@ class PovmElement:
     def __post_init__(self):
         op = as_operator(self.op)
         require_hermitian(op, TAU_HERM)
-        if min_eigenvalue(op) < -TAU_ALG:
+        if hermitian_eigenvalues(op)[0] < -TAU_ALG:
             raise InvalidInputError(
                 f"effect for outcome {self.label!r} must be positive semidefinite"
             )
@@ -227,7 +215,7 @@ def validate_povm(povm: PovmSet) -> PovmValidation:
     for element in povm.elements:
         total = total + element.op
     residual = float(np.max(np.abs(total - IDENTITY)))
-    mins = tuple(min_eigenvalue(e.op) for e in povm.elements)
+    mins = tuple(hermitian_eigenvalues(e.op)[0] for e in povm.elements)
     passed = residual < TAU_POVM and min(mins) > -TAU_ALG
     return PovmValidation(completeness_residual=residual, min_eigenvalues=mins, passed=passed)
 

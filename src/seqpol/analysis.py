@@ -83,8 +83,8 @@ def variation_states(
 
     For ``lam = 1`` and a dichotomic observable these are its +1 and -1
     eigenstates (up to global phase).  A branch whose normalization
-    ``1 +- 2 lam <A> + lam^2 <A^2>`` is not strictly positive raises
-    :class:`DegenerateBranchError`.
+    ``1 +- 2 lam <A> + lam^2 <A^2>`` is not strictly positive, or overflows,
+    raises :class:`DegenerateBranchError`.
     """
     lam = config.lam
     mean = expectation(psi, observable.op)
@@ -92,6 +92,10 @@ def variation_states(
     states = []
     for sign in (1, -1):
         weight = 1.0 + 2.0 * sign * lam * mean + lam * lam * mean_square
+        if not math.isfinite(weight):
+            raise DegenerateBranchError(
+                f"variation branch {sign:+d} has non-finite normalization {weight!r}"
+            )
         if weight <= 1e-12:
             raise DegenerateBranchError(
                 f"variation branch {sign:+d} has vanishing normalization {weight!r}"
@@ -343,7 +347,7 @@ def check_nonnegative(report: ErrorReport) -> ErrorReport:
     return report
 
 
-def _moments(state: QubitState, observable: DichotomicObservable) -> tuple[float, float]:
+def moments(state: QubitState, observable: DichotomicObservable) -> tuple[float, float]:
     """<A^2> and the prior variance <A^2> - <A>^2."""
     mean = expectation(state, observable.op)
     mean_square = expectation(state, observable.op @ observable.op)
@@ -363,7 +367,7 @@ def ozawa_error(
     residual mis-assignment.
     """
     terms = outcome_terms(state, povm, observable)
-    return check_nonnegative(error_report(terms, *_moments(state, observable), assignments)[1])
+    return check_nonnegative(error_report(terms, *moments(state, observable), assignments)[1])
 
 
 def optimal_error(
@@ -376,7 +380,7 @@ def optimal_error(
     and they contribute nothing to the estimate variance.
     """
     terms = outcome_terms(state, povm, observable)
-    table, report = error_report(terms, *_moments(state, observable))
+    table, report = error_report(terms, *moments(state, observable))
     return table, check_nonnegative(report)
 
 
@@ -414,6 +418,9 @@ def two_level_optimal_error(
 class QuasiProbabilityTable:
     """Joint quasi-probabilities Re <psi| E_m Pi_a |psi> over (a, outcome).
 
+    With Pi_a = (1 + a A) / 2 each entry is (P(m) + a c_m) / 2, read from
+    the same per-outcome pair as every estimate.
+
     Both marginals reproduce ordinary probabilities, but individual entries
     may be negative; ``negativity_present`` flags entries below
     ``-NEGATIVITY_TOL``.  Negativity in an outcome's column is equivalent to
@@ -434,11 +441,10 @@ def quasi_probability(
     state: QubitState, povm: PovmSet, observable: DichotomicObservable
 ) -> QuasiProbabilityTable:
     """Quasi-probability table of outcomes against target eigenvalues."""
-    entries: dict[tuple[int, Hashable], float] = {}
-    projectors = ((1, observable.projector_plus), (-1, observable.projector_minus))
-    for element in povm.elements:
-        for a, projector in projectors:
-            value = float(np.trace(state.density @ element.op @ projector).real)
-            entries[(a, element.label)] = value
+    entries = {
+        (a, label): 0.5 * (p + a * c)
+        for label, (p, c) in outcome_terms(state, povm, observable).items()
+        for a in (1, -1)
+    }
     negativity = min(entries.values()) < -NEGATIVITY_TOL
     return QuasiProbabilityTable(entries=entries, negativity_present=negativity)

@@ -386,12 +386,6 @@ def emit(records: list[dict], header: list[str], fmt: str, path: str) -> None:
         Path(path).write_text(text, encoding="utf-8")
 
 
-def read_rows_json(path: str) -> list[dict]:
-    """Re-parse a JSON artifact; floats round-trip bit-exactly."""
-    with open(path, encoding="utf-8") as handle:
-        return json.load(handle)
-
-
 def main(argv=None) -> int:
     try:
         config = parse_config(argv)

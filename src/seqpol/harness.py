@@ -13,13 +13,15 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import expectation, make_linear_polarization, make_stokes
+from .algebra import born_probability, make_linear_polarization, make_stokes
 from .analysis import (
+    ErrorReport,
     EstimateTable,
     OutcomeTerms,
     calibrated_terms,
     check_nonnegative,
     error_report,
+    moments,
     outcome_terms,
     symmetric_error_probability,
 )
@@ -31,7 +33,6 @@ from .instrument import (
     SetupParams,
     V_HV_DEFAULT,
     V_PM_DEFAULT,
-    outcome_probabilities,
     pm_error_probability,
     sequential_povm,
 )
@@ -45,6 +46,8 @@ BISECTION_TOL_DEG = 0.01
 # inputs, c(-1,-1) on H and V inputs at v_pm = 0) the noise stays below
 # 0.3 epsilon of the scale.
 NOISE_EPS = 8.0 * np.finfo(float).eps
+# numpy's multinomial draws take a C long.
+_MAX_PHOTONS = int(np.iinfo(np.int64).max)
 
 # Assigning the eigenvalue of the commuting first measurement to m1.
 _EIGENVALUE_ASSIGNMENT = EstimateTable({m1: float(m1) for m1 in M1_VALUES})
@@ -128,37 +131,53 @@ def m1_terms(terms: OutcomeTerms) -> dict[int, tuple[float, float]]:
     return summed
 
 
-def analytic_row(
-    params: SetupParams, input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG
+def _sweep_row(
+    theta_deg: float,
+    p_error: float,
+    terms: OutcomeTerms,
+    mean_square: float,
+    variance: float,
+    screen: Callable[[ErrorReport], ErrorReport],
+    eps_sq_eigen: float | None,
 ) -> SweepRow:
-    """One deterministic sweep row straight from the instrument model."""
-    state = make_linear_polarization(input_angle_deg)
-    target = make_stokes("PM")
-    mean = expectation(state, target.op)
-    mean_square = expectation(state, target.op @ target.op)
-    variance = mean_square - mean * mean
-    terms = outcome_terms(state, sequential_povm(params), target)
+    """The row of one setting from its (P, c) table; ``screen`` passes every
+    error report computed here, and a known ``eps_sq_eigen`` is taken as is."""
     marginal = m1_terms(terms)
     a_opt_m1, opt_m1 = error_report(marginal, mean_square, variance)
     a_opt_m1m2, opt_m1m2 = error_report(terms, mean_square, variance)
-    _, eigen = error_report(marginal, mean_square, variance, _EIGENVALUE_ASSIGNMENT)
+    if eps_sq_eigen is None:
+        eigen = error_report(marginal, mean_square, variance, _EIGENVALUE_ASSIGNMENT)[1]
+        eps_sq_eigen = screen(eigen).epsilon_sq
     return SweepRow(
-        theta_deg=params.theta_deg,
-        p_error=pm_error_probability(params),
+        theta_deg=theta_deg,
+        p_error=p_error,
         probs=OutcomeDistribution({label: p for label, (p, _) in terms.items()}),
         a_opt_m1=a_opt_m1.assignments,
         a_opt_m1m2=a_opt_m1m2.assignments,
-        eps_sq_eigen=check_nonnegative(eigen).epsilon_sq,
-        eps_sq_opt_m1=check_nonnegative(opt_m1).epsilon_sq,
-        eps_sq_opt_m1m2=check_nonnegative(opt_m1m2).epsilon_sq,
+        eps_sq_eigen=eps_sq_eigen,
+        eps_sq_opt_m1=screen(opt_m1).epsilon_sq,
+        eps_sq_opt_m1m2=screen(opt_m1m2).epsilon_sq,
     )
 
 
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """One row per grid point, fully analytic and deterministic."""
-    return [
-        analytic_row(config.setup(theta), config.input_angle_deg) for theta in config.theta_grid
-    ]
+    state = make_linear_polarization(config.input_angle_deg)
+    target = make_stokes("PM")
+    mean_square, variance = moments(state, target)
+    rows = []
+    for theta in config.theta_grid:
+        params = config.setup(theta)
+        terms = outcome_terms(state, sequential_povm(params), target)
+        rows.append(_sweep_row(params.theta_deg, pm_error_probability(params), terms, mean_square,
+                               variance, screen=check_nonnegative, eps_sq_eigen=None))
+    return rows
+
+
+def analytic_row(params: SetupParams, input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG) -> SweepRow:
+    """One deterministic sweep row straight from the instrument model."""
+    config = SweepConfig((params.theta_deg,), params.v_pm, params.v_hv, input_angle_deg)
+    return run_sweep(config)[0]
 
 
 @dataclass(frozen=True)
@@ -183,20 +202,20 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float) -> f
 
 
 def _first_root(
-    f: Callable[[float], tuple[float, float]], grid: tuple[float, ...]
+    points: list[tuple[float, float, float]], f: Callable[[float], float]
 ) -> float | None:
-    """First bracketed sign change of ``f(theta) = (value, noise scale)``.
+    """First bracketed sign change among grid ``points`` (theta, value, noise scale).
 
     Values within ``NOISE_EPS`` times their scale carry no sign and are
-    skipped, so a curve that is zero up to rounding has no root.
+    skipped, so a curve that is zero up to rounding has no root.  The
+    bracket is refined by bisection on ``f``.
     """
     last = None
-    for theta in grid:
-        value, scale = f(theta)
+    for theta, value, scale in points:
         if abs(value) <= NOISE_EPS * scale:
             continue
         if last is not None and (value < 0.0) != (last[1] < 0.0):
-            return _bisect(lambda t: f(t)[0], last[0], theta, last[1])
+            return _bisect(f, last[0], theta, last[1])
         last = (theta, value)
     return None
 
@@ -215,25 +234,31 @@ def find_crossings(config: SweepConfig) -> list[Crossing]:
     state = make_linear_polarization(config.input_angle_deg)
     target = make_stokes("PM")
 
-    def terms(theta: float) -> dict[tuple[int, int], tuple[float, float]]:
+    def terms(theta: float) -> OutcomeTerms:
         return outcome_terms(state, sequential_povm(config.setup(theta)), target)
 
-    def branch_numerator(theta: float) -> tuple[float, float]:
-        _, c_mm = terms(theta)[(-1, -1)]
+    def branch_numerator(t: OutcomeTerms) -> tuple[float, float]:
+        _, c_mm = t[(-1, -1)]
         return c_mm, 1.0
 
-    def branch_swap_gap(theta: float) -> tuple[float, float]:
-        t = terms(theta)
+    def branch_swap_gap(t: OutcomeTerms) -> tuple[float, float]:
         p_mp, c_mp = t[(-1, 1)]
         p_pp, c_pp = t[(1, 1)]
         return c_mp * p_pp - c_pp * p_mp, abs(c_mp) + p_pp + abs(c_pp) + p_mp
 
-    # The swap gap vanishes identically at zero strength, where the noise
-    # rule of _first_root skips it.
-    grid = tuple(sorted(config.theta_grid))
+    # One table per grid point serves both curves.  The swap gap vanishes
+    # identically at zero strength, where the noise rule of _first_root
+    # skips it.
+    grid = sorted(config.theta_grid)
+    tables = [terms(theta) for theta in grid]
+
+    def root(curve: Callable[[OutcomeTerms], tuple[float, float]]) -> float | None:
+        points = [(theta, *curve(t)) for theta, t in zip(grid, tables)]
+        return _first_root(points, lambda theta: curve(terms(theta))[0])
+
     return [
-        Crossing(CROSSING_SIGN_FLIP, _first_root(branch_numerator, grid)),
-        Crossing(CROSSING_BRANCH_SWAP, _first_root(branch_swap_gap, grid)),
+        Crossing(CROSSING_SIGN_FLIP, root(branch_numerator)),
+        Crossing(CROSSING_BRANCH_SWAP, root(branch_swap_gap)),
     ]
 
 
@@ -251,8 +276,7 @@ class CountRecord:
     counts_minus: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
-        if self.n_photons < 1:
-            raise InvalidInputError(f"n_photons must be >= 1, got {self.n_photons!r}")
+        _require_photons(self.n_photons)
         for name in ("counts_psi", "counts_plus", "counts_minus"):
             counts = dict(getattr(self, name))
             if set(counts) != set(OUTCOMES):
@@ -263,6 +287,11 @@ class CountRecord:
 
     def runs(self) -> dict[str, Mapping[tuple[int, int], float]]:
         return {"psi": self.counts_psi, "plus": self.counts_plus, "minus": self.counts_minus}
+
+
+def _require_photons(n_photons: int) -> None:
+    if not 1 <= n_photons <= _MAX_PHOTONS:
+        raise InvalidInputError(f"n_photons must lie in [1, {_MAX_PHOTONS}], got {n_photons!r}")
 
 
 def monte_carlo_counts(
@@ -277,8 +306,7 @@ def monte_carlo_counts(
     eigenstate calibrations; each run draws from its own generator seeded by
     (rng_seed, run index).
     """
-    if n_photons < 1:
-        raise InvalidInputError(f"n_photons must be >= 1, got {n_photons!r}")
+    _require_photons(n_photons)
     if rng_seed < 0:
         raise InvalidInputError(f"rng_seed must be non-negative, got {rng_seed!r}")
     states = (
@@ -286,10 +314,10 @@ def monte_carlo_counts(
         make_linear_polarization(45.0),
         make_linear_polarization(-45.0),
     )
+    povm = sequential_povm(setup)
     draws = []
     for run_index, state in enumerate(states):
-        distribution = outcome_probabilities(setup, state)
-        pvals = np.array([distribution[outcome] for outcome in OUTCOMES])
+        pvals = np.array([born_probability(state, element) for element in povm])
         rng = np.random.default_rng((int(rng_seed), run_index))
         counts = rng.multinomial(int(n_photons), pvals / pvals.sum())
         draws.append({outcome: int(k) for outcome, k in zip(OUTCOMES, counts)})
@@ -322,37 +350,24 @@ def estimate_from_counts(record: CountRecord) -> SweepRow:
             )
         frequencies[name] = {outcome: counts[outcome] / n for outcome in OUTCOMES}
 
-    mean_a = math.sin(math.radians(2.0 * record.input_angle_deg))
+    mean_a = math.sin(2.0 * math.radians(record.input_angle_deg))
     p_plus_psi = 0.5 * (1.0 + mean_a)
     p_minus_psi = 0.5 * (1.0 - mean_a)
     mean = p_plus_psi - p_minus_psi
-    variance = 1.0 - mean * mean
 
     plus, minus = frequencies["plus"], frequencies["minus"]
     terms = calibrated_terms(
         frequencies["psi"], {m: (plus[m], minus[m]) for m in OUTCOMES}, p_plus_psi, p_minus_psi
     )
-    marginal = m1_terms(terms)
-    a_opt_m1, opt_m1 = error_report(marginal, 1.0, variance)
-    a_opt_m1m2, opt_m1m2 = error_report(terms, 1.0, variance)
-
     flip_plus = plus[(-1, 1)] + plus[(-1, -1)]
     flip_minus = minus[(1, 1)] + minus[(1, -1)]
     symmetric = symmetric_error_probability(flip_plus, flip_minus)
-    if symmetric is not None:
-        eps_eigen = 4.0 * symmetric
-    else:
-        eps_eigen = error_report(marginal, 1.0, variance, _EIGENVALUE_ASSIGNMENT)[1].epsilon_sq
-
-    return SweepRow(
-        theta_deg=record.setup.theta_deg,
-        p_error=0.5 * (flip_plus + flip_minus),
-        probs=OutcomeDistribution(frequencies["psi"]),
-        a_opt_m1=a_opt_m1.assignments,
-        a_opt_m1m2=a_opt_m1m2.assignments,
-        eps_sq_eigen=eps_eigen,
-        eps_sq_opt_m1=opt_m1.epsilon_sq,
-        eps_sq_opt_m1m2=opt_m1m2.epsilon_sq,
+    # Sampling noise can push plug-in errors slightly negative, so the
+    # reports pass unscreened.
+    return _sweep_row(
+        record.setup.theta_deg, 0.5 * (flip_plus + flip_minus), terms, 1.0, 1.0 - mean * mean,
+        screen=lambda report: report,
+        eps_sq_eigen=None if symmetric is None else 4.0 * symmetric,
     )
 
 

@@ -44,11 +44,16 @@ def random_dichotomic(rng) -> DichotomicObservable:
     return DichotomicObservable.from_operator(op)
 
 
+def projector(observable: DichotomicObservable, sign: int) -> np.ndarray:
+    """Spectral projector (1 + sign A) / 2 of a dichotomic observable."""
+    return (np.eye(2) + sign * observable.op) / 2.0
+
+
 def random_binary_povm(rng) -> PovmSet:
     """Unsharp two-outcome POVM along a random direction."""
     direction = random_dichotomic(rng)
     u, v = rng.uniform(0.0, 1.0, size=2)
-    first = u * direction.projector_plus + v * direction.projector_minus
+    first = u * projector(direction, 1) + v * projector(direction, -1)
     second = np.eye(2) - first
     return PovmSet((PovmElement("first", first), PovmElement("second", second)))
 

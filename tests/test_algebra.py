@@ -23,13 +23,9 @@ from seqpol import (
 )
 from seqpol import SetupParams, sequential_povm
 
-from conftest import SQRT2, random_dichotomic, random_state
+from conftest import SQRT2, projector, random_dichotomic, random_state
 
 angles = st.floats(min_value=-360.0, max_value=360.0, allow_nan=False)
-
-
-def projector(observable, sign):
-    return observable.projector_plus if sign > 0 else observable.projector_minus
 
 
 class TestOperators:
@@ -130,14 +126,6 @@ class TestStokes:
         with pytest.raises(InvalidInputError):
             make_stokes("circular")
 
-    def test_projectors_sum_and_idempotence(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            obs = random_dichotomic(rng)
-            assert np.max(np.abs(obs.projector_plus + obs.projector_minus - IDENTITY)) <= TAU_ALG
-            for proj in (obs.projector_plus, obs.projector_minus):
-                assert np.max(np.abs(proj @ proj - proj)) <= TAU_ALG
-
 
 class TestExpectationValues:
     def test_h_state_hv(self):
@@ -183,7 +171,7 @@ class TestRealCrossCorrelation:
     def test_plus_projector_equals_probability(self):
         rng = np.random.default_rng(11)
         pm = make_stokes("PM")
-        element = PovmElement("plus", pm.projector_plus)
+        element = PovmElement("plus", projector(pm, 1))
         for _ in range(50):
             state = random_state(rng)
             assert real_cross_correlation(state, element, pm.op) == pytest.approx(
@@ -216,7 +204,7 @@ class TestValidatePovm:
     def test_projective_pair_passes(self):
         pm = make_stokes("PM")
         povm = PovmSet(
-            (PovmElement(1, pm.projector_plus), PovmElement(-1, pm.projector_minus))
+            (PovmElement(1, projector(pm, 1)), PovmElement(-1, projector(pm, -1)))
         )
         assert validate_povm(povm).passed
 
@@ -225,7 +213,7 @@ class TestValidatePovm:
 
     def test_incomplete_set_fails_with_residual(self):
         pm = make_stokes("PM")
-        report = validate_povm(PovmSet((PovmElement(1, pm.projector_plus),)))
+        report = validate_povm(PovmSet((PovmElement(1, projector(pm, 1)),)))
         assert not report.passed
         assert report.completeness_residual == pytest.approx(0.5, abs=1e-12)
 

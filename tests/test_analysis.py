@@ -39,7 +39,7 @@ from seqpol.analysis import calibrated_terms, outcome_terms
 from seqpol.harness import m1_terms
 
 from closed_forms import classical_conditional_average, sequential_conditional_average
-from conftest import SQRT2, random_dichotomic, random_povm, random_state
+from conftest import SQRT2, projector, random_dichotomic, random_povm, random_state
 
 A_MEAN = 1 / SQRT2  # <S_PM> of the 67.5 degree input
 
@@ -80,6 +80,12 @@ class TestVariationStates:
         pm = make_stokes("PM")
         with pytest.raises(DegenerateBranchError):
             variation_states(p_state, pm, ReconstructionConfig(1.0))
+
+    @pytest.mark.parametrize("lam", [1.4e154, -1e200, 1e300])
+    def test_overflowing_normalization_degenerates(self, psi_67_5, lam):
+        # lam^2 overflows, so the branch cannot be normalized
+        with pytest.raises(DegenerateBranchError, match="non-finite"):
+            variation_states(psi_67_5, make_stokes("PM"), ReconstructionConfig(lam))
 
 
 class TestReconstructCorrelation:
@@ -523,10 +529,23 @@ class TestQuasiProbability:
                     assert table.outcome_marginal(element.label) == pytest.approx(
                         born_probability(psi_67_5, element), abs=1e-12
                     )
-                for a, proj in ((1, pm.projector_plus), (-1, pm.projector_minus)):
+                for a in (1, -1):
                     assert table.eigenvalue_marginal(a) == pytest.approx(
-                        expectation(psi_67_5, proj), abs=1e-12
+                        expectation(psi_67_5, projector(pm, a)), abs=1e-12
                     )
+
+    def test_entries_match_trace_oracle(self):
+        # q(a, m) = Re Tr(rho E_m Pi_a) with the projector built here
+        rng = np.random.default_rng(53)
+        for _ in range(400):
+            state = random_state(rng)
+            obs = random_dichotomic(rng)
+            povm = random_povm(rng)
+            table = quasi_probability(state, povm, obs)
+            for element in povm:
+                for a in (1, -1):
+                    trace = np.trace(state.density @ element.op @ projector(obs, a)).real
+                    assert table.entries[(a, element.label)] == pytest.approx(trace, abs=1e-12)
 
     def test_commuting_measurement_stays_classical(self, psi_67_5):
         pm = make_stokes("PM")

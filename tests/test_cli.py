@@ -2,11 +2,12 @@ import csv
 import io
 import itertools
 import json
+import math
 
 import pytest
 
+from seqpol import SetupParams, cli, harness, instrument
 from seqpol.cli import (
-    CROSSING_COLUMNS,
     LGI_COLUMNS,
     RECONSTRUCT_COLUMNS,
     SWEEP_COLUMNS,
@@ -14,11 +15,8 @@ from seqpol.cli import (
     emit,
     main,
     parse_config,
-    read_rows_json,
     render_csv,
 )
-
-from conftest import SQRT2
 
 EXPECTED_HEADER = (
     "theta_deg,p_error,p_pp,p_pm,p_mp,p_mm,aopt_m1_plus,aopt_m1_minus,"
@@ -29,6 +27,12 @@ EXPECTED_HEADER = (
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def read_rows_json(path):
+    """Re-parse a JSON artifact; floats round-trip bit-exactly."""
+    with open(path, encoding="utf-8") as handle:
+        return json.load(handle)
 
 
 class TestParseConfig:
@@ -287,10 +291,7 @@ class TestMonteCarloCommand:
         main(argv + ["--output", str(second)])
         assert first.read_bytes() == second.read_bytes()
         row = read_csv(first)[0]
-        from seqpol import SetupParams
-        from seqpol.harness import analytic_row, row_as_dict
-
-        exact = row_as_dict(analytic_row(SetupParams(10.0)))
+        exact = harness.row_as_dict(harness.analytic_row(SetupParams(10.0)))
         assert float(row["aopt_m1_plus"]) == pytest.approx(exact["aopt_m1_plus"], abs=0.02)
         assert float(row["eps_opt_m1m2"]) == pytest.approx(exact["eps_opt_m1m2"], abs=0.02)
 
@@ -302,8 +303,60 @@ class TestMonteCarloCommand:
         assert rows[0] != rows[1]
 
 
+class TestPovmBuilds:
+    """Each strength setting builds its sequential POVM once."""
+
+    @pytest.fixture
+    def built(self, monkeypatch):
+        thetas = []
+
+        def counting(params):
+            thetas.append(params.theta_deg)
+            return instrument_povm(params)
+
+        instrument_povm = instrument.sequential_povm
+        for module in (instrument, harness, cli):
+            monkeypatch.setattr(module, "sequential_povm", counting)
+        return thetas
+
+    @pytest.mark.parametrize("command", ["sweep", "lgi", "reconstruct", "montecarlo"])
+    def test_one_build_per_grid_point(self, command, built, capsys):
+        extra = ["--n-photons", "100"] if command == "montecarlo" else []
+        assert main([command, "--input-angle", "10", *extra]) == 0
+        assert built == list(parse_config([command]).theta_grid)
+
+    def test_eigenstate_crossings_scan_the_grid_once(self, built, capsys):
+        assert main(["crossings", "--input-angle", "45"]) == 0
+        assert len(built) == 46
+
+    @pytest.mark.parametrize("flags", [[], ["--v-pm", "1", "--v-hv", "1"]])
+    def test_crossings_build_at_grid_points_and_new_midpoints(self, flags, built, capsys):
+        assert main(["crossings", *flags]) == 0
+        grid = parse_config(["crossings"]).theta_grid
+        assert built[: len(grid)] == list(grid)
+        midpoints = built[len(grid):]
+        # each of the two roots halves a 0.5 degree cell down to the tolerance
+        steps = math.ceil(math.log2(0.5 / harness.BISECTION_TOL_DEG))
+        assert 0 < len(midpoints) <= 2 * steps
+        assert not set(midpoints) & set(grid)
+
+    def test_one_build_per_monte_carlo_call(self, built):
+        harness.monte_carlo_counts(SetupParams(5.0), 67.5, 100, rng_seed=1)
+        assert built == [5.0]
+
+
 EDGE_GRIDS = (["--steps", "6"], ["--theta", "0"], ["--theta", "22.5"])
 EDGE_VISIBILITIES = list(itertools.product(("0", "0.93", "1"), ("0", "1")))
+
+
+def assert_rows_or_one_error_line(argv, status, captured):
+    if status == 0:
+        assert captured.err == "", argv
+        assert len(list(csv.DictReader(io.StringIO(captured.out)))) >= 1, argv
+    else:
+        assert status in (1, 2), argv
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), argv
 
 
 @pytest.mark.parametrize("command", ["sweep", "crossings", "montecarlo", "reconstruct", "lgi"])
@@ -312,12 +365,18 @@ def test_edge_inputs_give_rows_or_one_error_line(command, angle, capsys):
     extra = ["--n-photons", "1"] if command == "montecarlo" else []
     for grid, (v_pm, v_hv) in itertools.product(EDGE_GRIDS, EDGE_VISIBILITIES):
         argv = [command, "--input-angle", angle, "--v-pm", v_pm, "--v-hv", v_hv, *grid, *extra]
-        status = main(argv)
-        captured = capsys.readouterr()
-        if status == 0:
-            assert captured.err == "", argv
-            assert len(list(csv.DictReader(io.StringIO(captured.out)))) >= 1, argv
-        else:
-            assert status in (1, 2), argv
-            lines = captured.err.splitlines()
-            assert len(lines) == 1 and lines[0].startswith("error:"), argv
+        assert_rows_or_one_error_line(argv, main(argv), capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv, expected_status", [
+    (["montecarlo", "--input-angle=1e308", "--n-photons", "1000"], 0),
+    (["montecarlo", "--input-angle=-1e308", "--n-photons", "1000"], 0),
+    (["reconstruct", "--lam=1e200"], 1),
+    (["reconstruct", "--lam=-1e200"], 1),
+    (["montecarlo", "--n-photons", "9223372036854775808"], 1),
+])
+def test_extreme_inputs_give_rows_or_one_error_line(argv, expected_status, capsys):
+    argv = [*argv, "--steps", "2"]
+    status = main(argv)
+    assert_rows_or_one_error_line(argv, status, capsys.readouterr())
+    assert status == expected_status

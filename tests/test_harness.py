@@ -195,6 +195,13 @@ class TestMonteCarloCounts:
             monte_carlo_counts(SetupParams(5.0), 67.5, 0, rng_seed=1)
         with pytest.raises(InvalidInputError):
             monte_carlo_counts(SetupParams(5.0), 67.5, 10, rng_seed=-1)
+        with pytest.raises(InvalidInputError):
+            monte_carlo_counts(SetupParams(5.0), 67.5, 2**63, rng_seed=1)
+
+    def test_largest_photon_number_draws(self):
+        # numpy's multinomial takes a C long; 2**63 - 1 is its largest value
+        record = monte_carlo_counts(SetupParams(5.0), 67.5, 2**63 - 1, rng_seed=1)
+        assert sum(record.counts_psi.values()) == 2**63 - 1
 
 
 class TestEstimateFromCounts:
@@ -257,6 +264,19 @@ class TestEstimateFromCounts:
         )
         with pytest.raises(InvalidInputError):
             estimate_from_counts(broken)
+
+    def test_record_rejects_photon_numbers_beyond_a_c_long(self):
+        counts = {o: 2**61 for o in OUTCOMES}
+        with pytest.raises(InvalidInputError, match="n_photons"):
+            CountRecord(
+                setup=SetupParams(5.0),
+                input_angle_deg=67.5,
+                n_photons=2**63,
+                rng_seed=0,
+                counts_psi=counts,
+                counts_plus=counts,
+                counts_minus=counts,
+            )
 
     def test_record_requires_full_outcome_coverage(self):
         with pytest.raises(InvalidInputError):

@@ -21,7 +21,7 @@ from seqpol import (
     validate_povm,
 )
 
-from conftest import SQRT2
+from conftest import SQRT2, projector
 
 THETAS = [0.0, 2.5, 7.0, 11.25, 14.0, 19.5, 22.5]
 
@@ -119,8 +119,8 @@ class TestMarginalPovm:
         pm = make_stokes("PM")
         povm = pm_marginal_povm(SetupParams(22.5, v_pm=1.0, v_hv=1.0))
         by_label = {e.label: e.op for e in povm}
-        assert np.max(np.abs(by_label[1] - pm.projector_plus)) <= 1e-12
-        assert np.max(np.abs(by_label[-1] - pm.projector_minus)) <= 1e-12
+        assert np.max(np.abs(by_label[1] - projector(pm, 1))) <= 1e-12
+        assert np.max(np.abs(by_label[-1] - projector(pm, -1))) <= 1e-12
 
     def test_commutes_with_pm_stokes(self):
         pm = make_stokes("PM").op
