@@ -66,7 +66,6 @@ from .instrument import (
     THETA_MAX_DEG,
     V_HV_DEFAULT,
     V_PM_DEFAULT,
-    ideal_outcome_vector,
     outcome_probabilities,
     pm_error_probability,
     pm_marginal_povm,

@@ -3,7 +3,8 @@ an arbitrary qubit POVM.
 
 Two independent routes to every outcome/observable correlation are kept
 separate on purpose.  The direct route multiplies operators
-(:func:`seqpol.algebra.real_cross_correlation`).  The reconstruction route
+(:func:`stack_terms`, checked against the scalar oracle
+:func:`seqpol.algebra.real_cross_correlation`).  The reconstruction route
 uses only probabilities measured on two variations of the input state,
 
     |+> ~ (1 + lam A)|psi>,   |-> ~ (1 - lam A)|psi>,
@@ -22,8 +23,10 @@ That possibility is exactly the failure of a joint positive probability for
 outcome and eigenvalue, which :func:`quasi_probability` makes visible.
 
 Every estimate and error is computed from one pair per outcome,
-(P(m), c_m = Re<psi|E_m A|psi>).  :func:`outcome_terms` gives the pairs by
-the operator route, :func:`calibrated_terms` from eigenstate-calibration
+(P(m), c_m = Re<psi|E_m A|psi>).  :func:`stack_terms` gives them as arrays
+over a stack of effects, for a whole strength grid at once, and
+:func:`outcome_terms` as a table for one POVM, both by the operator route;
+:func:`calibrated_terms` gives them from eigenstate-calibration
 probabilities, and :func:`error_report` turns either into the optimal
 assignments and a squared error.
 """
@@ -34,14 +37,7 @@ from typing import Hashable, Mapping
 
 import numpy as np
 
-from .algebra import (
-    DichotomicObservable,
-    PovmSet,
-    QubitState,
-    born_probability,
-    expectation,
-    real_cross_correlation,
-)
+from .algebra import TAU_ALG, DichotomicObservable, PovmSet, QubitState, expectation
 from .exceptions import DegenerateBranchError, InvalidInputError, UnresolvableOutcomeError
 
 # Below this probability an outcome is reported as unresolvable instead of
@@ -246,17 +242,38 @@ class ErrorReport:
 OutcomeTerms = Mapping[Hashable, tuple[float, float]]
 
 
+def stack_terms(
+    state: QubitState, effects: np.ndarray, observable: DichotomicObservable
+) -> tuple[np.ndarray, np.ndarray]:
+    """Arrays P(m) = Tr(rho E_m) and c_m = Re Tr(rho E_m A) over a stack of effects.
+
+    ``effects`` has shape ``(..., 2, 2)`` and both arrays have its leading
+    shape.  The products are those of :func:`seqpol.algebra.born_probability`
+    and :func:`seqpol.algebra.real_cross_correlation`, taken over the stack,
+    and the probabilities pass the same checks: a non-real value or one
+    outside [0, 1] by more than ``TAU_ALG`` is an error, and in-band values
+    are clamped to [0, 1].
+    """
+    weighted = state.density @ effects
+    p = np.trace(weighted, axis1=-2, axis2=-1)
+    c = np.trace(weighted @ observable.op, axis1=-2, axis2=-1).real
+    non_real = np.abs(p.imag) >= TAU_ALG
+    if non_real.any():
+        raise InvalidInputError(f"outcome probability {complex(p[non_real][0])!r} is not real")
+    p = p.real
+    out_of_range = (p < -TAU_ALG) | (p > 1.0 + TAU_ALG)
+    if out_of_range.any():
+        raise InvalidInputError(f"outcome probability {float(p[out_of_range][0])!r} is out of range")
+    # as min(1, max(0, p)), which also turns -0.0 into 0.0
+    return np.where(p <= 0.0, 0.0, np.minimum(p, 1.0)), c
+
+
 def outcome_terms(
     state: QubitState, povm: PovmSet, observable: DichotomicObservable
 ) -> dict[Hashable, tuple[float, float]]:
-    """Per-outcome pairs (P(m), Re<psi|E_m A|psi>) by direct operator products."""
-    return {
-        element.label: (
-            born_probability(state, element),
-            real_cross_correlation(state, element, observable.op),
-        )
-        for element in povm.elements
-    }
+    """Per-outcome pairs (P(m), Re<psi|E_m A|psi>) of one POVM, from :func:`stack_terms`."""
+    p, c = stack_terms(state, np.array([element.op for element in povm.elements]), observable)
+    return dict(zip(povm.labels(), zip(p.tolist(), c.tolist())))
 
 
 def calibrated_terms(
@@ -430,6 +447,14 @@ class QuasiProbabilityTable:
     entries: Mapping[tuple[int, Hashable], float]
     negativity_present: bool
 
+    @classmethod
+    def from_terms(cls, terms: OutcomeTerms) -> "QuasiProbabilityTable":
+        """The table of one setting from its (P, c) pairs."""
+        entries = {
+            (a, label): 0.5 * (p + a * c) for label, (p, c) in terms.items() for a in (1, -1)
+        }
+        return cls(entries=entries, negativity_present=min(entries.values()) < -NEGATIVITY_TOL)
+
     def outcome_marginal(self, label) -> float:
         return self.entries[(1, label)] + self.entries[(-1, label)]
 
@@ -441,10 +466,4 @@ def quasi_probability(
     state: QubitState, povm: PovmSet, observable: DichotomicObservable
 ) -> QuasiProbabilityTable:
     """Quasi-probability table of outcomes against target eigenvalues."""
-    entries = {
-        (a, label): 0.5 * (p + a * c)
-        for label, (p, c) in outcome_terms(state, povm, observable).items()
-        for a in (1, -1)
-    }
-    negativity = min(entries.values()) < -NEGATIVITY_TOL
-    return QuasiProbabilityTable(entries=entries, negativity_present=negativity)
+    return QuasiProbabilityTable.from_terms(outcome_terms(state, povm, observable))

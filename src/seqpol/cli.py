@@ -15,13 +15,13 @@ import sys
 from dataclasses import dataclass
 from pathlib import Path
 
-from .algebra import born_probability, expectation, make_linear_polarization, make_stokes
+from .algebra import expectation, make_linear_polarization, make_stokes
 from .analysis import (
+    QuasiProbabilityTable,
     ReconstructionConfig,
     conditional_average,
-    outcome_terms,
-    quasi_probability,
     reconstruct_correlation,
+    stack_terms,
     variation_states,
 )
 from .exceptions import SeqpolError, UnresolvableOutcomeError
@@ -30,6 +30,7 @@ from .harness import (
     SweepConfig,
     estimate_from_counts,
     find_crossings,
+    grid_terms,
     monte_carlo_counts,
     row_as_dict,
     run_sweep,
@@ -40,7 +41,7 @@ from .instrument import (
     THETA_MAX_DEG,
     V_HV_DEFAULT,
     V_PM_DEFAULT,
-    sequential_povm,
+    effect_stack,
 )
 
 SWEEP_COLUMNS = [
@@ -285,24 +286,22 @@ def _reconstruct_records(config: RunConfig) -> list[dict]:
     plus_state, minus_state = variation_states(psi, target, reconstruction)
     mean_a = expectation(psi, target.op)
     mean_a2 = expectation(psi, target.op @ target.op)
+    effects = effect_stack(config.theta_grid, config.v_pm, config.v_hv)
+    p_plus = stack_terms(plus_state, effects, target)[0].tolist()
+    p_minus = stack_terms(minus_state, effects, target)[0].tolist()
     records = []
-    for theta in config.theta_grid:
-        povm = sequential_povm(SetupParams(theta, config.v_pm, config.v_hv))
-        terms = outcome_terms(psi, povm, target)
-        for element in povm.elements:
+    for theta, terms, plus_row, minus_row in zip(
+        config.theta_grid, grid_terms(psi, effects, target), p_plus, p_minus
+    ):
+        for (m1, m2), p_given_plus, p_given_minus in zip(OUTCOMES, plus_row, minus_row):
             reconstructed = reconstruct_correlation(
-                born_probability(plus_state, element),
-                born_probability(minus_state, element),
-                mean_a,
-                mean_a2,
-                reconstruction,
+                p_given_plus, p_given_minus, mean_a, mean_a2, reconstruction
             )
-            p_outcome, direct = terms[element.label]
+            p_outcome, direct = terms[(m1, m2)]
             try:
-                a_opt = conditional_average(direct, p_outcome, outcome=element.label)
+                a_opt = conditional_average(direct, p_outcome, outcome=(m1, m2))
             except UnresolvableOutcomeError:
                 a_opt = None
-            m1, m2 = element.label
             records.append({
                 "theta_deg": theta,
                 "lam": config.lam,
@@ -320,10 +319,10 @@ def _reconstruct_records(config: RunConfig) -> list[dict]:
 def _lgi_records(config: RunConfig) -> list[dict]:
     psi = make_linear_polarization(config.input_angle_deg)
     target = make_stokes("PM")
+    effects = effect_stack(config.theta_grid, config.v_pm, config.v_hv)
     records = []
-    for theta in config.theta_grid:
-        povm = sequential_povm(SetupParams(theta, config.v_pm, config.v_hv))
-        table = quasi_probability(psi, povm, target)
+    for theta, terms in zip(config.theta_grid, grid_terms(psi, effects, target)):
+        table = QuasiProbabilityTable.from_terms(terms)
         record = {"theta_deg": theta}
         for sign, prefix in ((1, "q_plus_"), (-1, "q_minus_")):
             for outcome, suffix in zip(OUTCOMES, ("pp", "pm", "mp", "mm")):
@@ -368,8 +367,12 @@ def render_csv(records: list[dict], header: list[str]) -> str:
 
 
 def render_json(records: list[dict], header: list[str]) -> str:
+    """JSON text of the rows; a NaN or infinite value has no JSON form and is an error."""
     ordered = [{key: record[key] for key in header} for record in records]
-    return json.dumps(ordered, indent=2) + "\n"
+    try:
+        return json.dumps(ordered, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SeqpolError(f"cannot write JSON: {exc}") from None
 
 
 def emit(records: list[dict], header: list[str], fmt: str, path: str) -> None:

@@ -2,9 +2,12 @@
 
 Every sweep row is computed analytically from the instrument model and the
 estimation machinery; rows are independent, so grids may be evaluated
-concurrently.  Monte Carlo counting runs draw from per-run generators seeded
-by (seed, run index), which keeps concurrent execution deterministic and
-order-independent.
+concurrently.  A sweep or crossing search takes the effects of its whole
+grid from one :func:`~seqpol.instrument.effect_stack` and every (P, c) pair
+from one :func:`~seqpol.analysis.stack_terms` product over it; only the
+estimates and error reports of each row run point by point.  Monte Carlo
+counting runs draw from per-run generators seeded by (seed, run index), which
+keeps concurrent execution deterministic and order-independent.
 """
 
 import math
@@ -13,7 +16,13 @@ from typing import Callable, Mapping
 
 import numpy as np
 
-from .algebra import born_probability, make_linear_polarization, make_stokes
+from .algebra import (
+    DichotomicObservable,
+    QubitState,
+    born_probability,
+    make_linear_polarization,
+    make_stokes,
+)
 from .analysis import (
     ErrorReport,
     EstimateTable,
@@ -22,7 +31,7 @@ from .analysis import (
     check_nonnegative,
     error_report,
     moments,
-    outcome_terms,
+    stack_terms,
     symmetric_error_probability,
 )
 from .exceptions import InvalidInputError
@@ -33,6 +42,7 @@ from .instrument import (
     SetupParams,
     V_HV_DEFAULT,
     V_PM_DEFAULT,
+    effect_stack,
     pm_error_probability,
     sequential_povm,
 )
@@ -160,18 +170,25 @@ def _sweep_row(
     )
 
 
+def grid_terms(
+    state: QubitState, effects: np.ndarray, target: DichotomicObservable
+) -> list[dict[tuple[int, int], tuple[float, float]]]:
+    """One (P, c) table per grid point of an :func:`effect_stack`, keyed by outcome."""
+    p, c = stack_terms(state, effects, target)
+    return [dict(zip(OUTCOMES, zip(p_row, c_row))) for p_row, c_row in zip(p.tolist(), c.tolist())]
+
+
 def run_sweep(config: SweepConfig) -> list[SweepRow]:
     """One row per grid point, fully analytic and deterministic."""
     state = make_linear_polarization(config.input_angle_deg)
     target = make_stokes("PM")
     mean_square, variance = moments(state, target)
-    rows = []
-    for theta in config.theta_grid:
-        params = config.setup(theta)
-        terms = outcome_terms(state, sequential_povm(params), target)
-        rows.append(_sweep_row(params.theta_deg, pm_error_probability(params), terms, mean_square,
-                               variance, screen=check_nonnegative, eps_sq_eigen=None))
-    return rows
+    effects = effect_stack(config.theta_grid, config.v_pm, config.v_hv)
+    return [
+        _sweep_row(theta, pm_error_probability(config.setup(theta)), terms, mean_square,
+                   variance, screen=check_nonnegative, eps_sq_eigen=None)
+        for theta, terms in zip(config.theta_grid, grid_terms(state, effects, target))
+    ]
 
 
 def analytic_row(params: SetupParams, input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG) -> SweepRow:
@@ -233,9 +250,18 @@ def find_crossings(config: SweepConfig) -> list[Crossing]:
     """
     state = make_linear_polarization(config.input_angle_deg)
     target = make_stokes("PM")
+    # One table per strength, shared by both curves: the grid in one stack,
+    # then each new bisection midpoint once.
+    tables: dict[float, OutcomeTerms] = {}
+
+    def evaluate(thetas) -> None:
+        effects = effect_stack(thetas, config.v_pm, config.v_hv)
+        tables.update(zip(thetas, grid_terms(state, effects, target)))
 
     def terms(theta: float) -> OutcomeTerms:
-        return outcome_terms(state, sequential_povm(config.setup(theta)), target)
+        if theta not in tables:
+            evaluate((theta,))
+        return tables[theta]
 
     def branch_numerator(t: OutcomeTerms) -> tuple[float, float]:
         _, c_mm = t[(-1, -1)]
@@ -246,14 +272,13 @@ def find_crossings(config: SweepConfig) -> list[Crossing]:
         p_pp, c_pp = t[(1, 1)]
         return c_mp * p_pp - c_pp * p_mp, abs(c_mp) + p_pp + abs(c_pp) + p_mp
 
-    # One table per grid point serves both curves.  The swap gap vanishes
-    # identically at zero strength, where the noise rule of _first_root
-    # skips it.
+    # The swap gap vanishes identically at zero strength, where the noise
+    # rule of _first_root skips it.
     grid = sorted(config.theta_grid)
-    tables = [terms(theta) for theta in grid]
+    evaluate(grid)
 
     def root(curve: Callable[[OutcomeTerms], tuple[float, float]]) -> float | None:
-        points = [(theta, *curve(t)) for theta, t in zip(grid, tables)]
+        points = [(theta, *curve(tables[theta])) for theta in grid]
         return _first_root(points, lambda theta: curve(terms(theta))[0])
 
     return [

@@ -25,15 +25,32 @@ Two calibration numbers model the imperfections:
 Both visibilities are treated as strength-independent.  The beam-splitter
 asymmetry of a real apparatus is assumed compensated upstream and is not
 modelled here, nor are dark counts or detector-efficiency asymmetries.
+
+The effects of a whole strength grid are built at once by
+:func:`effect_stack` as one array of shape ``(N, 4, 2, 2)``: grid point,
+outcome in ``OUTCOMES`` order, then the 2x2 operator in the HV basis.  The
+dephasing and the readout mixing act on every grid point in the same
+element-wise arithmetic, and hermiticity, positivity and completeness are
+checked for the whole stack together.  :func:`sequential_povm` is the
+one-point view of the stack, so every effect has this one construction path.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Mapping
+from typing import Mapping, Sequence
 
 import numpy as np
 
-from .algebra import PovmElement, PovmSet, QubitState, born_probability
+from .algebra import (
+    IDENTITY,
+    TAU_ALG,
+    TAU_HERM,
+    TAU_POVM,
+    PovmElement,
+    PovmSet,
+    QubitState,
+    born_probability,
+)
 from .exceptions import InvalidInputError
 
 V_PM_DEFAULT = 0.93
@@ -43,6 +60,8 @@ THETA_MAX_DEG = 22.5
 # Canonical outcome order used everywhere: (m1, m2) = (+,+), (+,-), (-,+), (-,-).
 OUTCOMES = ((1, 1), (1, -1), (-1, 1), (-1, -1))
 M1_VALUES = (1, -1)
+# Index of the m2-flipped partner of each outcome in OUTCOMES.
+_M2_PARTNER = [1, 0, 3, 2]
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -55,6 +74,14 @@ def _require_theta(theta_deg: float) -> float:
             f"theta_deg must lie in [0, {THETA_MAX_DEG}] degrees, got {theta_deg!r}"
         )
     return float(theta_deg)
+
+
+def _require_visibility(name: str, value: float) -> float:
+    if not isinstance(value, (int, float)) or not math.isfinite(value):
+        raise InvalidInputError(f"{name} must be finite, got {value!r}")
+    if not 0.0 <= value <= 1.0:
+        raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
+    return float(value)
 
 
 def _require_outcome(outcome) -> tuple[int, int]:
@@ -78,12 +105,7 @@ class SetupParams:
     def __post_init__(self):
         object.__setattr__(self, "theta_deg", _require_theta(self.theta_deg))
         for name in ("v_pm", "v_hv"):
-            value = getattr(self, name)
-            if not isinstance(value, (int, float)) or not math.isfinite(value):
-                raise InvalidInputError(f"{name} must be finite, got {value!r}")
-            if not 0.0 <= value <= 1.0:
-                raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
-            object.__setattr__(self, name, float(value))
+            object.__setattr__(self, name, _require_visibility(name, getattr(self, name)))
 
 
 @dataclass(frozen=True)
@@ -114,40 +136,56 @@ class OutcomeDistribution:
         return {m1: sum(p for (a, _), p in self.probs.items() if a == m1) for m1 in M1_VALUES}
 
 
-def ideal_outcome_vector(theta_deg: float, outcome) -> np.ndarray:
-    """Sub-normalized state vector of an ideal outcome; squared norm is 1/2."""
-    theta_deg = _require_theta(theta_deg)
-    m1, m2 = _require_outcome(outcome)
-    two_theta = math.radians(2.0 * theta_deg)
-    c, s = math.cos(two_theta), math.sin(two_theta)
-    if m2 == 1:
-        amplitudes = (c, m1 * s)
-    else:
-        amplitudes = (s, m1 * c)
-    return np.array(amplitudes, dtype=np.complex128) / _SQRT2
+def effect_stack(theta_grid: Sequence[float], v_pm: float, v_hv: float) -> np.ndarray:
+    """Read-only effects of the imperfect instrument over a strength grid.
+
+    Entry ``[n, k]`` is the 2x2 effect of outcome ``OUTCOMES[k]`` at
+    ``theta_grid[n]``: the ideal rank-one projector, dephased in the HV basis
+    by ``v_pm`` and mixed across m2 by the readout confusion
+    ``(1 - v_hv) / 2``.  Both steps preserve completeness and positivity; the
+    stack is checked for both, and for hermiticity, before it is returned.
+    """
+    v_pm = _require_visibility("v_pm", v_pm)
+    v_hv = _require_visibility("v_hv", v_hv)
+    amplitudes = []
+    for theta_deg in theta_grid:
+        two_theta = math.radians(2.0 * _require_theta(theta_deg))
+        c, s = math.cos(two_theta), math.sin(two_theta)
+        # (m2 = +1): (c, m1 s); (m2 = -1): (s, m1 c), in OUTCOMES order
+        amplitudes.append(((c, s), (s, c), (c, -s), (s, -c)))
+    vectors = np.array(amplitudes, dtype=np.complex128).reshape(-1, 4, 2) / _SQRT2
+    dephased = vectors[..., :, None] * vectors.conj()[..., None, :]
+    dephased[..., 0, 1] *= v_pm
+    dephased[..., 1, 0] *= v_pm
+    keep = (1.0 + v_hv) / 2.0
+    swap = (1.0 - v_hv) / 2.0
+    effects = keep * dephased + swap * dephased[:, _M2_PARTNER]
+    _check_effects(effects)
+    effects.setflags(write=False)
+    return effects
+
+
+def _check_effects(effects: np.ndarray) -> None:
+    """The checks of :class:`PovmElement` and :func:`validate_povm`, over a stack."""
+    if not np.all(np.isfinite(effects)):
+        raise InvalidInputError("effect entries must be finite")
+    if np.any(np.abs(effects - effects.conj().swapaxes(-1, -2)) > TAU_HERM):
+        raise InvalidInputError("an effect is not Hermitian within tolerance")
+    diagonal = np.diagonal(effects, axis1=-2, axis2=-1).real
+    radius = np.hypot(0.5 * (diagonal[..., 0] - diagonal[..., 1]), np.abs(effects[..., 0, 1]))
+    if np.any(0.5 * (diagonal[..., 0] + diagonal[..., 1]) - radius < -TAU_ALG):
+        raise InvalidInputError("an effect is not positive semidefinite")
+    if np.any(np.abs(effects.sum(axis=1) - IDENTITY) >= TAU_POVM):
+        raise InvalidInputError("the effects of a setting do not sum to the identity")
 
 
 def sequential_povm(params: SetupParams) -> PovmSet:
-    """The four-outcome POVM of the imperfect instrument.
+    """The four-outcome POVM of the imperfect instrument at one setting.
 
-    Ideal rank-one effects are dephased in the HV basis by ``v_pm`` and then
-    mixed across m2 by the readout confusion ``(1 - v_hv) / 2``.  Both steps
-    preserve completeness and positivity.
+    A one-point view of :func:`effect_stack`.
     """
-    dephased = {}
-    for outcome in OUTCOMES:
-        vec = ideal_outcome_vector(params.theta_deg, outcome)
-        effect = np.outer(vec, vec.conj())
-        effect[0, 1] *= params.v_pm
-        effect[1, 0] *= params.v_pm
-        dephased[outcome] = effect
-    keep = (1.0 + params.v_hv) / 2.0
-    swap = (1.0 - params.v_hv) / 2.0
-    elements = []
-    for m1, m2 in OUTCOMES:
-        op = keep * dephased[(m1, m2)] + swap * dephased[(m1, -m2)]
-        elements.append(PovmElement(label=(m1, m2), op=op))
-    return PovmSet(tuple(elements))
+    effects = effect_stack((params.theta_deg,), params.v_pm, params.v_hv)[0]
+    return PovmSet(tuple(PovmElement(label=o, op=op) for o, op in zip(OUTCOMES, effects)))
 
 
 def pm_marginal_povm(params: SetupParams) -> PovmSet:

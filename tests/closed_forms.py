@@ -1,12 +1,29 @@
-"""Closed-form conditional averages of the instrument, kept as test oracles.
+"""Closed forms of the instrument, kept as test oracles.
 
-Both follow from the ideal effects with a symmetric PM error probability and
-an HV readout that is fully random for P and M eigenstate inputs.
+The effects are built one outcome at a time from the ideal state vectors, in
+the loop form that ``seqpol.instrument.effect_stack`` replaces for whole
+grids.  The conditional averages follow from the ideal effects with a
+symmetric PM error probability and an HV readout that is fully random for P
+and M eigenstate inputs.
 """
 
 import math
 
-from seqpol import P_FLOOR, DegenerateBranchError, InvalidInputError, UnresolvableOutcomeError
+import numpy as np
+
+from seqpol import (
+    OUTCOMES,
+    P_FLOOR,
+    THETA_MAX_DEG,
+    DegenerateBranchError,
+    InvalidInputError,
+    PovmElement,
+    PovmSet,
+    SetupParams,
+    UnresolvableOutcomeError,
+)
+
+_SQRT2 = math.sqrt(2.0)
 
 
 def _require_sign(value: int, name: str) -> int:
@@ -56,3 +73,40 @@ def sequential_conditional_average(
             f"joint probability {p_joint!r} is below the resolvable floor", outcome=(m1, m2)
         )
     return (m1 * (1.0 - 2.0 * p_error) + mean_a) / (4.0 * p_joint)
+
+
+def ideal_outcome_vector(theta_deg: float, outcome) -> np.ndarray:
+    """Sub-normalized state vector of an ideal outcome; squared norm is 1/2."""
+    if not math.isfinite(theta_deg) or not 0.0 <= theta_deg <= THETA_MAX_DEG:
+        raise InvalidInputError(f"theta_deg must lie in [0, {THETA_MAX_DEG}], got {theta_deg!r}")
+    m1, m2 = outcome
+    m1, m2 = _require_sign(m1, "m1"), _require_sign(m2, "m2")
+    two_theta = math.radians(2.0 * theta_deg)
+    c, s = math.cos(two_theta), math.sin(two_theta)
+    if m2 == 1:
+        amplitudes = (c, m1 * s)
+    else:
+        amplitudes = (s, m1 * c)
+    return np.array(amplitudes, dtype=np.complex128) / _SQRT2
+
+
+def oracle_povm(params: SetupParams) -> PovmSet:
+    """The four-outcome POVM of the imperfect instrument, one effect at a time.
+
+    Ideal rank-one effects are dephased in the HV basis by ``v_pm`` and then
+    mixed across m2 by the readout confusion ``(1 - v_hv) / 2``.
+    """
+    dephased = {}
+    for outcome in OUTCOMES:
+        vec = ideal_outcome_vector(params.theta_deg, outcome)
+        effect = np.outer(vec, vec.conj())
+        effect[0, 1] *= params.v_pm
+        effect[1, 0] *= params.v_pm
+        dephased[outcome] = effect
+    keep = (1.0 + params.v_hv) / 2.0
+    swap = (1.0 - params.v_hv) / 2.0
+    elements = []
+    for m1, m2 in OUTCOMES:
+        op = keep * dephased[(m1, m2)] + swap * dephased[(m1, -m2)]
+        elements.append(PovmElement(label=(m1, m2), op=op))
+    return PovmSet(tuple(elements))

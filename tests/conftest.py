@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from seqpol import (
     DichotomicObservable,
@@ -11,6 +12,19 @@ from seqpol import (
 )
 
 SQRT2 = math.sqrt(2.0)
+
+# Edge values of the instrument settings and the input angle: zero and full
+# strength, visibilities 0 and 1 besides the calibrated ones, H and V inputs
+# (0, 90) and the P and M eigenstates (45, -45).
+THETA_EDGES = (0.0, 22.5)
+V_PM_EDGES = (0.0, 0.93, 1.0)
+V_HV_EDGES = (0.0, 0.9976, 1.0)
+ANGLE_EDGES = (0.0, 45.0, -45.0, 22.5, 90.0, 67.5)
+
+
+def with_edges(edges, lo, hi):
+    """Floats in [lo, hi] that also draw each of ``edges`` directly."""
+    return st.one_of(st.sampled_from(edges), st.floats(min_value=lo, max_value=hi))
 
 
 @pytest.fixture

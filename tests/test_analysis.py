@@ -39,7 +39,18 @@ from seqpol.analysis import calibrated_terms, outcome_terms
 from seqpol.harness import m1_terms
 
 from closed_forms import classical_conditional_average, sequential_conditional_average
-from conftest import SQRT2, projector, random_dichotomic, random_povm, random_state
+from conftest import (
+    ANGLE_EDGES,
+    SQRT2,
+    THETA_EDGES,
+    V_HV_EDGES,
+    V_PM_EDGES,
+    projector,
+    random_dichotomic,
+    random_povm,
+    random_state,
+    with_edges,
+)
 
 A_MEAN = 1 / SQRT2  # <S_PM> of the 67.5 degree input
 
@@ -426,17 +437,13 @@ class TestOptimalError:
         assert 0.0 <= report.excluded_probability <= tiny
 
 
-def _with_edges(edges, lo, hi):
-    return st.one_of(st.sampled_from(edges), st.floats(min_value=lo, max_value=hi))
-
-
 class TestOutcomeTermSources:
     @settings(max_examples=300, deadline=None)
     @given(
-        theta=_with_edges([0.0, 22.5], 0.0, 22.5),
-        v_pm=_with_edges([0.0, 0.93, 1.0], 0.0, 1.0),
-        v_hv=_with_edges([0.0, 0.9976, 1.0], 0.0, 1.0),
-        angle=_with_edges([0.0, 45.0, -45.0, 22.5, 90.0, 67.5], -180.0, 180.0),
+        theta=with_edges(THETA_EDGES, 0.0, 22.5),
+        v_pm=with_edges(V_PM_EDGES, 0.0, 1.0),
+        v_hv=with_edges(V_HV_EDGES, 0.0, 1.0),
+        angle=with_edges(ANGLE_EDGES, -180.0, 180.0),
     )
     def test_sources_agree_with_the_operator_oracle(self, theta, v_pm, v_hv, angle):
         params = SetupParams(theta, v_pm, v_hv)

@@ -6,7 +6,7 @@ import math
 
 import pytest
 
-from seqpol import SetupParams, cli, harness, instrument
+from seqpol import SeqpolError, SetupParams, cli, harness, instrument
 from seqpol.cli import (
     LGI_COLUMNS,
     RECONSTRUCT_COLUMNS,
@@ -195,6 +195,23 @@ class TestEmit:
         text = render_csv([record], SWEEP_COLUMNS)
         assert text.splitlines()[1] == "1.0" + "," * (len(SWEEP_COLUMNS) - 1)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_non_finite_json_value_is_an_error(self, value, tmp_path):
+        path = tmp_path / "rows.json"
+        with pytest.raises(SeqpolError, match="JSON"):
+            emit([{"x": value}], ["x"], "json", str(path))
+        assert not path.exists()
+
+    def test_non_finite_record_exits_with_one_error_line(self, monkeypatch, capsys):
+        record = dict.fromkeys(SWEEP_COLUMNS, 0.5)
+        record["eps_opt_m1m2"] = math.nan
+        monkeypatch.setattr(cli, "run", lambda config: (SWEEP_COLUMNS, [record]))
+        assert main(["sweep", "--format", "json"]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+
     def test_shortest_round_trip_decimals(self):
         value = 0.1 + 0.2  # 0.30000000000000004
         text = render_csv([{"x": value}], ["x"])
@@ -304,45 +321,59 @@ class TestMonteCarloCommand:
 
 
 class TestPovmBuilds:
-    """Each strength setting builds its sequential POVM once."""
+    """Each command builds its effects in one stack, and no strength twice."""
 
     @pytest.fixture
     def built(self, monkeypatch):
-        thetas = []
+        builds = []
 
-        def counting(params):
-            thetas.append(params.theta_deg)
-            return instrument_povm(params)
+        def counting(theta_grid, v_pm, v_hv):
+            builds.append(list(theta_grid))
+            return instrument_stack(theta_grid, v_pm, v_hv)
 
-        instrument_povm = instrument.sequential_povm
+        instrument_stack = instrument.effect_stack
         for module in (instrument, harness, cli):
-            monkeypatch.setattr(module, "sequential_povm", counting)
-        return thetas
+            monkeypatch.setattr(module, "effect_stack", counting)
+        return builds
 
-    @pytest.mark.parametrize("command", ["sweep", "lgi", "reconstruct", "montecarlo"])
+    @pytest.mark.parametrize("command", ["sweep", "lgi", "reconstruct"])
+    def test_one_build_covers_the_grid_in_order(self, command, built, capsys):
+        for grid in ([], ["--theta-min", "0.013", "--steps", "250"]):
+            built.clear()
+            assert main([command, "--input-angle", "10", *grid]) == 0
+            assert built == [list(parse_config([command, *grid]).theta_grid)]
+
+    @pytest.mark.parametrize("command", ["montecarlo"])
     def test_one_build_per_grid_point(self, command, built, capsys):
-        extra = ["--n-photons", "100"] if command == "montecarlo" else []
-        assert main([command, "--input-angle", "10", *extra]) == 0
-        assert built == list(parse_config([command]).theta_grid)
+        assert main([command, "--input-angle", "10", "--n-photons", "100"]) == 0
+        assert built == [[theta] for theta in parse_config([command]).theta_grid]
 
     def test_eigenstate_crossings_scan_the_grid_once(self, built, capsys):
         assert main(["crossings", "--input-angle", "45"]) == 0
-        assert len(built) == 46
+        assert built == [list(parse_config(["crossings"]).theta_grid)]
 
     @pytest.mark.parametrize("flags", [[], ["--v-pm", "1", "--v-hv", "1"]])
     def test_crossings_build_at_grid_points_and_new_midpoints(self, flags, built, capsys):
         assert main(["crossings", *flags]) == 0
-        grid = parse_config(["crossings"]).theta_grid
-        assert built[: len(grid)] == list(grid)
-        midpoints = built[len(grid):]
+        grid = list(parse_config(["crossings"]).theta_grid)
+        assert built[0] == grid
+        assert all(len(build) == 1 for build in built[1:])
+        midpoints = [build[0] for build in built[1:]]
+        assert len(set(midpoints)) == len(midpoints)
+        assert not set(midpoints) & set(grid)
         # each of the two roots halves a 0.5 degree cell down to the tolerance
         steps = math.ceil(math.log2(0.5 / harness.BISECTION_TOL_DEG))
         assert 0 < len(midpoints) <= 2 * steps
-        assert not set(midpoints) & set(grid)
+
+    def test_crossings_in_one_cell_share_their_midpoints(self, built, capsys):
+        # at perfect visibilities both roots lie in the cell around 11.25 degrees
+        assert main(["crossings", "--v-pm", "1", "--v-hv", "1"]) == 0
+        steps = math.ceil(math.log2(0.5 / harness.BISECTION_TOL_DEG))
+        assert 0 < len(built) - 1 <= steps
 
     def test_one_build_per_monte_carlo_call(self, built):
         harness.monte_carlo_counts(SetupParams(5.0), 67.5, 100, rng_seed=1)
-        assert built == [5.0]
+        assert built == [[5.0]]
 
 
 EDGE_GRIDS = (["--steps", "6"], ["--theta", "0"], ["--theta", "22.5"])

@@ -11,7 +11,6 @@ from seqpol import (
     SetupParams,
     TAU_ALG,
     born_probability,
-    ideal_outcome_vector,
     make_linear_polarization,
     make_stokes,
     outcome_probabilities,
@@ -21,6 +20,7 @@ from seqpol import (
     validate_povm,
 )
 
+from closed_forms import ideal_outcome_vector
 from conftest import SQRT2, projector
 
 THETAS = [0.0, 2.5, 7.0, 11.25, 14.0, 19.5, 22.5]
