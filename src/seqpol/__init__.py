@@ -50,13 +50,11 @@ from .harness import (
     CountRecord,
     Crossing,
     SweepConfig,
-    SweepRow,
     bootstrap_standard_errors,
     default_theta_grid,
     estimate_from_counts,
     find_crossings,
     monte_carlo_counts,
-    row_as_dict,
     run_sweep,
 )
 from .instrument import (

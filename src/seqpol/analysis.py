@@ -27,13 +27,15 @@ Every estimate and error is computed from one pair per outcome,
 over a stack of effects, for a whole strength grid at once, and
 :func:`outcome_terms` as a table for one POVM, both by the operator route;
 :func:`calibrated_terms` gives them from eigenstate-calibration
-probabilities, and :func:`error_report` turns either into the optimal
-assignments and a squared error.
+probabilities.  One array step, :func:`error_columns`, turns ``(N, K)``
+tables of them into the optimal assignments and the squared errors of N
+settings; :func:`error_report` is its one-row view.
 """
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
-from typing import Hashable, Mapping
+from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
@@ -50,6 +52,9 @@ DECOMPOSITION_TOL = 1e-9
 
 # Entries of a quasi-probability table below this count as genuinely negative.
 NEGATIVITY_TOL = 1e-10
+
+# Eigenstate error probabilities closer than this count as one symmetric error.
+SYMMETRY_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -164,7 +169,7 @@ def two_level_conditional_average(
 
 
 def symmetric_error_probability(
-    p_flip_plus: float, p_flip_minus: float, tol: float = 1e-9
+    p_flip_plus: float, p_flip_minus: float, tol: float = SYMMETRY_TOL
 ) -> float | None:
     """The single error probability if eigenstate confusion is symmetric.
 
@@ -229,14 +234,21 @@ class ErrorReport:
     excluded_probability: float = 0.0
 
     def __post_init__(self):
-        recomposed = self.mean_square - self.estimate_variance + self.residual
-        if not math.isfinite(self.epsilon_sq) or abs(self.epsilon_sq - recomposed) > DECOMPOSITION_TOL:
-            raise InvalidInputError(
-                "error decomposition does not reconcile: "
-                f"epsilon_sq={self.epsilon_sq!r} vs recomposed={recomposed!r}"
-            )
-        if self.excluded_probability < 0.0:
-            raise InvalidInputError("excluded probability cannot be negative")
+        fields = (self.epsilon_sq, self.mean_square, self.estimate_variance, self.residual)
+        _check_decomposition(*np.atleast_1d(*fields, self.excluded_probability))
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def _check_decomposition(epsilon_sq, mean_square, estimate_variance, residual, excluded) -> None:
+    """The checks of :class:`ErrorReport` over arrays of reports; non-finite values raise."""
+    recomposed = mean_square - estimate_variance + residual
+    unreconciled = ~np.isfinite(epsilon_sq) | (np.abs(epsilon_sq - recomposed) > DECOMPOSITION_TOL)
+    if unreconciled.any():
+        n = np.argmax(unreconciled)
+        raise InvalidInputError("error decomposition does not reconcile: epsilon_sq="
+                                f"{float(epsilon_sq[n])!r} vs recomposed={float(recomposed[n])!r}")
+    if (excluded < 0.0).any():
+        raise InvalidInputError("excluded probability cannot be negative")
 
 
 OutcomeTerms = Mapping[Hashable, tuple[float, float]]
@@ -305,63 +317,83 @@ def calibrated_terms(
     return terms
 
 
+# Optimal assignments and error decomposition of N settings, one array row each.
+ErrorColumns = namedtuple("ErrorColumns", ["optimal", "epsilon_sq", "estimate_variance",
+                                           "residual", "excluded_probability"])
+
+
+def _running_sum(start: float, terms: np.ndarray) -> np.ndarray:
+    """start + terms[:, 0] + terms[:, 1] + ..., added from the left as a scalar loop adds."""
+    return np.hstack([np.full((len(terms), 1), start), terms]).cumsum(axis=1)[:, -1]
+
+
+@np.errstate(over="ignore", invalid="ignore")
+def error_columns(
+    p: np.ndarray, c: np.ndarray, mean_square: float,
+    assignment: Sequence[float] | None = None, nonnegative: bool = False,
+) -> ErrorColumns:
+    """Optimal assignments and the squared error of an assignment over ``(N, K)`` tables.
+
+    Row n of ``p`` and ``c`` holds the K outcome pairs of one setting.  The
+    assignments c_m / P(m) are NaN where P(m) is at or below ``P_FLOOR``.
+    Without ``assignment`` the error is the minimal <A^2> - sum_m c_m^2 / P(m);
+    with one value A_m per column it is Ozawa's <A^2> + sum_m (A_m^2 P(m) -
+    2 A_m c_m), the deviation from the optimal assignment booked as
+    ``residual``.  Unresolvable outcomes add their probability to
+    ``excluded_probability``.  Sums run over the columns from the left, as a
+    scalar loop over the outcomes would.  The checks of :class:`EstimateTable`
+    and :class:`ErrorReport` run on all rows at once, and ``nonnegative``
+    rejects a negative error, a model fault on the operator route.
+    """
+    resolvable = p > P_FLOOR
+    optimal = np.divide(c, p, out=np.full(p.shape, np.nan), where=resolvable)
+    if not np.isfinite(optimal[resolvable]).all():
+        raise InvalidInputError("optimal assignments must be finite")
+    estimate_variance = _running_sum(0.0, np.where(resolvable, optimal * c, 0.0))
+    excluded = _running_sum(0.0, np.where(resolvable, 0.0, p))
+    if assignment is None:
+        epsilon_sq, residual = mean_square - estimate_variance, np.zeros(len(p))
+    else:
+        assigned = np.asarray(assignment, dtype=float)
+        raw = assigned * assigned * p - 2.0 * assigned * c
+        epsilon_sq = _running_sum(mean_square, raw)
+        # Without a stable pivot, booking the raw error terms against the residual
+        # keeps the decomposition identity exact; float_power squares as ** does.
+        deviation = np.float_power(assigned - optimal, 2.0) * p
+        residual = _running_sum(0.0, np.where(resolvable, deviation, raw))
+    _check_decomposition(epsilon_sq, mean_square, estimate_variance, residual, excluded)
+    if nonnegative and (epsilon_sq < -DECOMPOSITION_TOL).any():
+        value = float(epsilon_sq[epsilon_sq < -DECOMPOSITION_TOL][0])
+        raise InvalidInputError(f"squared error {value!r} is negative beyond tolerance")
+    return ErrorColumns(optimal, epsilon_sq, estimate_variance, residual, excluded)
+
+
 def error_report(
     terms: OutcomeTerms,
     mean_square: float,
     variance_initial: float,
     assignments: EstimateTable | None = None,
+    nonnegative: bool = False,
 ) -> tuple[EstimateTable, ErrorReport]:
     """Optimal estimates and the squared error of an assignment, from (P, c) pairs.
 
-    The table holds the error-minimizing assignment c_m / P(m) per outcome,
-    ``None`` where P(m) is at or below ``P_FLOOR``.  Without ``assignments``
-    the report is the minimal error <A^2> - sum_m c_m^2 / P(m); with them it
-    is Ozawa's <A^2> + sum_m (A_m^2 P(m) - 2 A_m c_m), with the deviation
-    from the optimal assignment booked as ``residual``.  Unresolvable
-    outcomes contribute their probability to ``excluded_probability``.
+    The one-row view of :func:`error_columns`: the table holds ``None`` for
+    an unresolvable outcome, and the report is the minimal error, or Ozawa's
+    error of ``assignments``.
     """
+    fixed = None
     if assignments is not None:
         if set(assignments.labels()) != set(terms):
             raise InvalidInputError("assignment table must cover exactly the outcome set")
-        if any(value is None for value in assignments.assignments.values()):
+        fixed = [assignments[label] for label in terms]
+        if any(value is None for value in fixed):
             raise InvalidInputError("every outcome needs a finite assignment for error evaluation")
-    optimal: dict[Hashable, float | None] = {}
-    epsilon_sq = mean_square
-    estimate_variance = residual = excluded = 0.0
-    for label, (p, c) in terms.items():
-        pivot = c / p if p > P_FLOOR else None
-        optimal[label] = pivot
-        if pivot is not None:
-            estimate_variance += pivot * c
-        else:
-            excluded += p
-        if assignments is not None:
-            assigned = assignments[label]
-            raw = assigned * assigned * p - 2.0 * assigned * c
-            epsilon_sq += raw
-            # Without a stable pivot, booking the raw error terms against the
-            # residual keeps the decomposition identity exact.
-            residual += raw if pivot is None else (assigned - pivot) ** 2 * p
-    if assignments is None:
-        epsilon_sq = mean_square - estimate_variance
-    report = ErrorReport(
-        epsilon_sq=epsilon_sq,
-        mean_square=mean_square,
-        variance_initial=variance_initial,
-        estimate_variance=estimate_variance,
-        residual=residual,
-        excluded_probability=excluded,
+    p, c = np.array([list(terms.values())], dtype=float).reshape(1, -1, 2).transpose(2, 0, 1)
+    optimal, epsilon_sq, *decomposition = (
+        column[0].tolist() for column in error_columns(p, c, mean_square, fixed, nonnegative)
     )
-    return EstimateTable(optimal), report
-
-
-def check_nonnegative(report: ErrorReport) -> ErrorReport:
-    """Pass an operator-route report through; a negative error is a model fault."""
-    if report.epsilon_sq < -DECOMPOSITION_TOL:
-        raise InvalidInputError(
-            f"squared error {report.epsilon_sq!r} is negative beyond tolerance"
-        )
-    return report
+    table = EstimateTable({label: None if math.isnan(a) else a for label, a in zip(terms, optimal)})
+    return table, ErrorReport(epsilon_sq, mean_square, variance_initial, *decomposition)
 
 
 def moments(state: QubitState, observable: DichotomicObservable) -> tuple[float, float]:
@@ -384,7 +416,7 @@ def ozawa_error(
     residual mis-assignment.
     """
     terms = outcome_terms(state, povm, observable)
-    return check_nonnegative(error_report(terms, *moments(state, observable), assignments)[1])
+    return error_report(terms, *moments(state, observable), assignments, nonnegative=True)[1]
 
 
 def optimal_error(
@@ -397,8 +429,7 @@ def optimal_error(
     and they contribute nothing to the estimate variance.
     """
     terms = outcome_terms(state, povm, observable)
-    table, report = error_report(terms, *moments(state, observable))
-    return table, check_nonnegative(report)
+    return error_report(terms, *moments(state, observable), nonnegative=True)
 
 
 def two_level_ozawa_error(

@@ -27,12 +27,12 @@ from .analysis import (
 from .exceptions import SeqpolError, UnresolvableOutcomeError
 from .harness import (
     DEFAULT_INPUT_ANGLE_DEG,
+    SWEEP_COLUMNS,
     SweepConfig,
-    estimate_from_counts,
+    estimate_grid,
     find_crossings,
     grid_terms,
     monte_carlo_counts,
-    row_as_dict,
     run_sweep,
 )
 from .instrument import (
@@ -44,13 +44,6 @@ from .instrument import (
     effect_stack,
 )
 
-SWEEP_COLUMNS = [
-    "theta_deg", "p_error",
-    "p_pp", "p_pm", "p_mp", "p_mm",
-    "aopt_m1_plus", "aopt_m1_minus",
-    "aopt_pp", "aopt_pm", "aopt_mp", "aopt_mm",
-    "eps_eigen", "eps_opt_m1", "eps_opt_m1m2",
-]
 CROSSING_COLUMNS = ["description", "theta_deg"]
 RECONSTRUCT_COLUMNS = [
     "theta_deg", "lam", "m1", "m2", "p_outcome",
@@ -157,7 +150,7 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
         values = json.loads(raw)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
         raise UsageError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise UsageError(f"config file {path!r} must hold a JSON object")
@@ -254,23 +247,12 @@ def parse_config(argv=None) -> RunConfig:
     )
 
 
-def _sweep_records(config: RunConfig) -> list[dict]:
-    rows = run_sweep(SweepConfig(config.theta_grid, config.v_pm, config.v_hv,
-                                 config.input_angle_deg))
-    return [row_as_dict(row) for row in rows]
-
-
 def _montecarlo_records(config: RunConfig) -> list[dict]:
-    records = []
-    for index, theta in enumerate(config.theta_grid):
-        counts = monte_carlo_counts(
-            SetupParams(theta, config.v_pm, config.v_hv),
-            input_angle_deg=config.input_angle_deg,
-            n_photons=config.n_photons,
-            rng_seed=config.seed + index,
-        )
-        records.append(row_as_dict(estimate_from_counts(counts)))
-    return records
+    return estimate_grid([
+        monte_carlo_counts(SetupParams(theta, config.v_pm, config.v_hv), config.input_angle_deg,
+                           config.n_photons, config.seed + index)
+        for index, theta in enumerate(config.theta_grid)
+    ])
 
 
 def _crossing_records(config: RunConfig) -> list[dict]:
@@ -335,7 +317,8 @@ def _lgi_records(config: RunConfig) -> list[dict]:
 def run(config: RunConfig) -> tuple[list[str], list[dict]]:
     """Execute the resolved command; returns (column order, row records)."""
     if config.command == "sweep":
-        return SWEEP_COLUMNS, _sweep_records(config)
+        return SWEEP_COLUMNS, run_sweep(SweepConfig(config.theta_grid, config.v_pm, config.v_hv,
+                                                    config.input_angle_deg))
     if config.command == "montecarlo":
         return SWEEP_COLUMNS, _montecarlo_records(config)
     if config.command == "crossings":

@@ -1,18 +1,21 @@
 """Strength sweeps, crossing-point searches, and Monte Carlo photon counting.
 
-Every sweep row is computed analytically from the instrument model and the
-estimation machinery; rows are independent, so grids may be evaluated
-concurrently.  A sweep or crossing search takes the effects of its whole
-grid from one :func:`~seqpol.instrument.effect_stack` and every (P, c) pair
-from one :func:`~seqpol.analysis.stack_terms` product over it; only the
-estimates and error reports of each row run point by point.  Monte Carlo
-counting runs draw from per-run generators seeded by (seed, run index), which
-keeps concurrent execution deterministic and order-independent.
+A sweep row is a flat dict in ``SWEEP_COLUMNS`` order, with ``None`` for an
+unresolvable estimate.  Every table of rows comes from one step over arrays:
+the (P, c) pairs of N settings, shaped ``(N, 4)``, go through
+:func:`~seqpol.analysis.error_columns` once per strategy.  An analytic sweep
+takes the effects of its whole grid from one
+:func:`~seqpol.instrument.effect_stack` and its pairs from one
+:func:`~seqpol.analysis.stack_terms` product; the estimates of a Monte Carlo
+grid are one table of measured frequencies, one row per count record, and a
+bootstrap is the table of all its resamples.  Monte Carlo counting runs
+draw from per-run generators seeded by (seed, run index), which keeps
+concurrent execution deterministic and order-independent.
 """
 
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -24,26 +27,20 @@ from .algebra import (
     make_stokes,
 )
 from .analysis import (
-    ErrorReport,
-    EstimateTable,
+    SYMMETRY_TOL,
     OutcomeTerms,
-    calibrated_terms,
-    check_nonnegative,
-    error_report,
+    error_columns,
     moments,
     stack_terms,
-    symmetric_error_probability,
 )
 from .exceptions import InvalidInputError
 from .instrument import (
-    M1_VALUES,
     OUTCOMES,
-    OutcomeDistribution,
     SetupParams,
     V_HV_DEFAULT,
     V_PM_DEFAULT,
+    _require_theta,
     effect_stack,
-    pm_error_probability,
     sequential_povm,
 )
 
@@ -59,8 +56,13 @@ NOISE_EPS = 8.0 * np.finfo(float).eps
 # numpy's multinomial draws take a C long.
 _MAX_PHOTONS = int(np.iinfo(np.int64).max)
 
-# Assigning the eigenvalue of the commuting first measurement to m1.
-_EIGENVALUE_ASSIGNMENT = EstimateTable({m1: float(m1) for m1 in M1_VALUES})
+SWEEP_COLUMNS = [
+    "theta_deg", "p_error",
+    "p_pp", "p_pm", "p_mp", "p_mm",
+    "aopt_m1_plus", "aopt_m1_minus",
+    "aopt_pp", "aopt_pm", "aopt_mp", "aopt_mm",
+    "eps_eigen", "eps_opt_m1", "eps_opt_m1m2",
+]
 
 CROSSING_SIGN_FLIP = "aopt[m1=-1] zero crossing"
 CROSSING_BRANCH_SWAP = "aopt[m1=-1 m2=+1] overtakes aopt[m1=+1 m2=+1]"
@@ -84,90 +86,37 @@ class SweepConfig:
         grid = tuple(float(t) for t in self.theta_grid)
         if not grid:
             raise InvalidInputError("theta_grid needs at least one strength setting")
-        for theta in grid:
-            SetupParams(theta, self.v_pm, self.v_hv)  # range validation
+        SetupParams(grid[0], self.v_pm, self.v_hv)  # range validation, visibilities included
+        for theta in grid[1:]:
+            _require_theta(theta)
         object.__setattr__(self, "theta_grid", grid)
 
-    def setup(self, theta_deg: float) -> SetupParams:
-        return SetupParams(theta_deg, self.v_pm, self.v_hv)
 
+def _table_rows(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float,
+                nonnegative: bool, eps_eigen: np.ndarray | None = None) -> list[dict]:
+    """Sweep rows of N settings from their ``(N, 4)`` tables of P and c.
 
-@dataclass(frozen=True)
-class SweepRow:
-    """All quantities tracked per strength setting.
-
-    Conditional averages are ``None`` for unresolvable outcomes.  The three
-    squared errors belong to the eigenvalue assignment to m1, the optimal
-    estimate from m1 alone, and the optimal estimate from both outcomes.
+    The errors belong to the eigenvalue assignment to m1 (``eps_eigen``
+    where that is not NaN), the optimal estimate from m1 alone (P and c add
+    over m2) and from both outcomes.  P gets the checks of an
+    :class:`~seqpol.instrument.OutcomeDistribution`.
     """
-
-    theta_deg: float
-    p_error: float
-    probs: OutcomeDistribution
-    a_opt_m1: Mapping[int, float | None]
-    a_opt_m1m2: Mapping[tuple[int, int], float | None]
-    eps_sq_eigen: float
-    eps_sq_opt_m1: float
-    eps_sq_opt_m1m2: float
-
-
-def row_as_dict(row: SweepRow) -> dict[str, float | None]:
-    """Flat single-row view with one canonical key order."""
-    return {
-        "theta_deg": row.theta_deg,
-        "p_error": row.p_error,
-        "p_pp": row.probs[(1, 1)],
-        "p_pm": row.probs[(1, -1)],
-        "p_mp": row.probs[(-1, 1)],
-        "p_mm": row.probs[(-1, -1)],
-        "aopt_m1_plus": row.a_opt_m1[1],
-        "aopt_m1_minus": row.a_opt_m1[-1],
-        "aopt_pp": row.a_opt_m1m2[(1, 1)],
-        "aopt_pm": row.a_opt_m1m2[(1, -1)],
-        "aopt_mp": row.a_opt_m1m2[(-1, 1)],
-        "aopt_mm": row.a_opt_m1m2[(-1, -1)],
-        "eps_eigen": row.eps_sq_eigen,
-        "eps_opt_m1": row.eps_sq_opt_m1,
-        "eps_opt_m1m2": row.eps_sq_opt_m1m2,
-    }
-
-
-def m1_terms(terms: OutcomeTerms) -> dict[int, tuple[float, float]]:
-    """(P, c) of m1 alone: both are linear in the effect, so they add over m2."""
-    summed = {m1: (0.0, 0.0) for m1 in M1_VALUES}
-    for (m1, _), (p, c) in terms.items():
-        p_sum, c_sum = summed[m1]
-        summed[m1] = (p_sum + p, c_sum + c)
-    return summed
-
-
-def _sweep_row(
-    theta_deg: float,
-    p_error: float,
-    terms: OutcomeTerms,
-    mean_square: float,
-    variance: float,
-    screen: Callable[[ErrorReport], ErrorReport],
-    eps_sq_eigen: float | None,
-) -> SweepRow:
-    """The row of one setting from its (P, c) table; ``screen`` passes every
-    error report computed here, and a known ``eps_sq_eigen`` is taken as is."""
-    marginal = m1_terms(terms)
-    a_opt_m1, opt_m1 = error_report(marginal, mean_square, variance)
-    a_opt_m1m2, opt_m1m2 = error_report(terms, mean_square, variance)
-    if eps_sq_eigen is None:
-        eigen = error_report(marginal, mean_square, variance, _EIGENVALUE_ASSIGNMENT)[1]
-        eps_sq_eigen = screen(eigen).epsilon_sq
-    return SweepRow(
-        theta_deg=theta_deg,
-        p_error=p_error,
-        probs=OutcomeDistribution({label: p for label, (p, _) in terms.items()}),
-        a_opt_m1=a_opt_m1.assignments,
-        a_opt_m1m2=a_opt_m1m2.assignments,
-        eps_sq_eigen=eps_sq_eigen,
-        eps_sq_opt_m1=screen(opt_m1).epsilon_sq,
-        eps_sq_opt_m1m2=screen(opt_m1m2).epsilon_sq,
-    )
+    p_m1, c_m1 = (0.0 + x[:, ::2] + x[:, 1::2] for x in (p, c))
+    opt_m1 = error_columns(p_m1, c_m1, mean_square, nonnegative=nonnegative)
+    opt_m1m2 = error_columns(p, c, mean_square, nonnegative=nonnegative)
+    eigen = np.full(len(p), np.nan) if eps_eigen is None else np.array(eps_eigen)
+    todo = np.isnan(eigen)
+    eigen[todo] = error_columns(p_m1[todo], c_m1[todo], mean_square, (1.0, -1.0),
+                                nonnegative).epsilon_sq
+    total = 0.0 + p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]
+    if not (np.isfinite(p) & (p >= 0.0)).all() or (np.abs(total - 1.0) > 1e-9).any():
+        raise InvalidInputError("outcome probabilities must be finite, >= 0 and sum to one")
+    columns = [theta, p_error, *p.T, *opt_m1.optimal.T, *opt_m1m2.optimal.T,
+               eigen, opt_m1.epsilon_sq, opt_m1m2.epsilon_sq]
+    cells = [np.asarray(column, dtype=float).tolist() for column in columns]
+    for estimates in cells[6:12]:
+        estimates[:] = [None if math.isnan(value) else value for value in estimates]
+    return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*cells)]
 
 
 def grid_terms(
@@ -178,20 +127,19 @@ def grid_terms(
     return [dict(zip(OUTCOMES, zip(p_row, c_row))) for p_row, c_row in zip(p.tolist(), c.tolist())]
 
 
-def run_sweep(config: SweepConfig) -> list[SweepRow]:
+def run_sweep(config: SweepConfig) -> list[dict]:
     """One row per grid point, fully analytic and deterministic."""
     state = make_linear_polarization(config.input_angle_deg)
     target = make_stokes("PM")
-    mean_square, variance = moments(state, target)
-    effects = effect_stack(config.theta_grid, config.v_pm, config.v_hv)
-    return [
-        _sweep_row(theta, pm_error_probability(config.setup(theta)), terms, mean_square,
-                   variance, screen=check_nonnegative, eps_sq_eigen=None)
-        for theta, terms in zip(config.theta_grid, grid_terms(state, effects, target))
-    ]
+    mean_square, _ = moments(state, target)
+    p, c = stack_terms(state, effect_stack(config.theta_grid, config.v_pm, config.v_hv), target)
+    # pm_error_probability at every grid point
+    p_error = [0.5 * (1.0 - config.v_pm * math.sin(math.radians(4.0 * theta)))
+               for theta in config.theta_grid]
+    return _table_rows(config.theta_grid, p_error, p, c, mean_square, nonnegative=True)
 
 
-def analytic_row(params: SetupParams, input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG) -> SweepRow:
+def analytic_row(params: SetupParams, input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG) -> dict:
     """One deterministic sweep row straight from the instrument model."""
     config = SweepConfig((params.theta_deg,), params.v_pm, params.v_hv, input_angle_deg)
     return run_sweep(config)[0]
@@ -357,7 +305,38 @@ def monte_carlo_counts(
     )
 
 
-def estimate_from_counts(record: CountRecord) -> SweepRow:
+def _count_rows(theta: list[float], input_angle_deg: float, n: int, counts) -> list[dict]:
+    """Sweep rows estimated from N count tables shaped (N, run, outcome), runs as in
+    :meth:`CountRecord.runs`.  Counts stay Python numbers up to the division by
+    ``n``, so totals and frequencies are exact as in a scalar loop.  A symmetric
+    eigenstate confusion gives the eigenvalue-assignment error 4 p_error directly.
+    """
+    counts = np.asarray(counts, dtype=object)
+    totals = counts.sum(axis=2)
+    off = np.abs(totals - n) > 1e-6 * max(1.0, n)
+    if off.any():
+        row, run = np.argwhere(off)[0]
+        raise InvalidInputError(f"counts for run {('psi', 'plus', 'minus')[run]!r} sum to "
+                                f"{totals[row, run]!r}, expected n_photons={n}")
+    frequencies = (counts / n).astype(float)
+    psi, plus, minus = frequencies.transpose(1, 0, 2)
+    mean_a = math.sin(2.0 * math.radians(input_angle_deg))
+    weights = np.array([0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a)])
+    flips = np.stack([plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1]])
+    # the ranges checked by calibrated_terms and symmetric_error_probability
+    probabilities = np.concatenate([weights, frequencies.ravel(), flips.ravel()])
+    outside = probabilities[~((probabilities >= 0.0) & (probabilities <= 1.0))]
+    if outside.size:
+        raise InvalidInputError(f"estimated probability {float(outside[0])!r} is outside [0, 1]")
+    p_error = 0.5 * (flips[0] + flips[1])
+    symmetric = np.abs(flips[0] - flips[1]) < SYMMETRY_TOL
+    c = plus * weights[0] - minus * weights[1]
+    # Sampling noise can push plug-in errors slightly negative: no sign check.
+    return _table_rows(theta, p_error, psi, c, 1.0, nonnegative=False,
+                       eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan))
+
+
+def estimate_from_counts(record: CountRecord) -> dict:
     """Run the estimation pipeline on measured frequencies.
 
     Eigenstate weights of the input come from the known preparation angle, as
@@ -365,35 +344,17 @@ def estimate_from_counts(record: CountRecord) -> SweepRow:
     the counts.  Outcomes with no counts are marked unresolvable and excluded
     from the optimal-error sums without affecting the others.
     """
-    n = record.n_photons
-    frequencies = {}
-    for name, counts in record.runs().items():
-        total = sum(counts.values())
-        if abs(total - n) > 1e-6 * max(1.0, n):
-            raise InvalidInputError(
-                f"counts for run {name!r} sum to {total!r}, expected n_photons={n}"
-            )
-        frequencies[name] = {outcome: counts[outcome] / n for outcome in OUTCOMES}
+    return estimate_grid([record])[0]
 
-    mean_a = math.sin(2.0 * math.radians(record.input_angle_deg))
-    p_plus_psi = 0.5 * (1.0 + mean_a)
-    p_minus_psi = 0.5 * (1.0 - mean_a)
-    mean = p_plus_psi - p_minus_psi
 
-    plus, minus = frequencies["plus"], frequencies["minus"]
-    terms = calibrated_terms(
-        frequencies["psi"], {m: (plus[m], minus[m]) for m in OUTCOMES}, p_plus_psi, p_minus_psi
-    )
-    flip_plus = plus[(-1, 1)] + plus[(-1, -1)]
-    flip_minus = minus[(1, 1)] + minus[(1, -1)]
-    symmetric = symmetric_error_probability(flip_plus, flip_minus)
-    # Sampling noise can push plug-in errors slightly negative, so the
-    # reports pass unscreened.
-    return _sweep_row(
-        record.setup.theta_deg, 0.5 * (flip_plus + flip_minus), terms, 1.0, 1.0 - mean * mean,
-        screen=lambda report: report,
-        eps_sq_eigen=None if symmetric is None else 4.0 * symmetric,
-    )
+def estimate_grid(records: Sequence[CountRecord]) -> list[dict]:
+    """:func:`estimate_from_counts` of every record as one table, for records that share
+    their input angle and photon number, as the grid points of one ``montecarlo`` run do."""
+    angle, n = records[0].input_angle_deg, records[0].n_photons
+    if any((record.input_angle_deg, record.n_photons) != (angle, n) for record in records):
+        raise InvalidInputError("the records of a grid must share input angle and n_photons")
+    counts = [[[run[o] for o in OUTCOMES] for run in record.runs().values()] for record in records]
+    return _count_rows([record.setup.theta_deg for record in records], angle, n, counts)
 
 
 def bootstrap_standard_errors(
@@ -401,38 +362,21 @@ def bootstrap_standard_errors(
 ) -> dict[str, float]:
     """Multinomial-bootstrap standard errors for the estimated row fields.
 
-    Counts are resampled from the empirical frequencies of each run; fields
-    that come back unresolvable in any resample are omitted from the result.
+    Counts are resampled from the empirical frequencies of each run, every
+    resample in one draw, and estimated as one table; fields that come back
+    unresolvable in any resample are omitted from the result.
     """
     if n_resamples < 2:
         raise InvalidInputError("need at least two resamples for a standard error")
     n = record.n_photons
-    frequencies = {
-        name: np.array([counts[o] for o in OUTCOMES]) / sum(counts.values())
-        for name, counts in record.runs().items()
-    }
+    frequencies = [np.array([counts[o] for o in OUTCOMES]) / sum(counts.values())
+                   for counts in record.runs().values()]
     rng = np.random.default_rng((int(rng_seed),))
-    samples: dict[str, list[float]] = {}
-    for _ in range(int(n_resamples)):
-        resampled = {}
-        for name, pvals in frequencies.items():
-            draw = rng.multinomial(n, pvals / pvals.sum())
-            resampled[name] = {o: int(k) for o, k in zip(OUTCOMES, draw)}
-        row = estimate_from_counts(
-            CountRecord(
-                setup=record.setup,
-                input_angle_deg=record.input_angle_deg,
-                n_photons=n,
-                rng_seed=record.rng_seed,
-                counts_psi=resampled["psi"],
-                counts_plus=resampled["plus"],
-                counts_minus=resampled["minus"],
-            )
-        )
-        for key, value in row_as_dict(row).items():
-            samples.setdefault(key, []).append(value)
+    draws = rng.multinomial(n, [f / f.sum() for f in frequencies], size=(int(n_resamples), 3))
+    rows = _count_rows([record.setup.theta_deg] * int(n_resamples), record.input_angle_deg, n,
+                       draws.tolist())
     return {
-        key: float(np.std(values, ddof=1))
-        for key, values in samples.items()
-        if all(v is not None for v in values)
+        key: float(np.std([row[key] for row in rows], ddof=1))
+        for key in SWEEP_COLUMNS
+        if all(row[key] is not None for row in rows)
     }

@@ -131,10 +131,6 @@ class OutcomeDistribution:
     def __getitem__(self, outcome) -> float:
         return self.probs[_require_outcome(outcome)]
 
-    def marginal_m1(self) -> dict[int, float]:
-        """Probabilities of the first outcome alone."""
-        return {m1: sum(p for (a, _), p in self.probs.items() if a == m1) for m1 in M1_VALUES}
-
 
 def effect_stack(theta_grid: Sequence[float], v_pm: float, v_hv: float) -> np.ndarray:
     """Read-only effects of the imperfect instrument over a strength grid.

@@ -4,7 +4,8 @@ The effects are built one outcome at a time from the ideal state vectors, in
 the loop form that ``seqpol.instrument.effect_stack`` replaces for whole
 grids.  The conditional averages follow from the ideal effects with a
 symmetric PM error probability and an HV readout that is fully random for P
-and M eigenstate inputs.
+and M eigenstate inputs.  The error report is the outcome-by-outcome loop
+that ``seqpol.analysis.error_columns`` replaces for whole tables.
 """
 
 import math
@@ -13,6 +14,8 @@ import numpy as np
 
 from seqpol import (
     OUTCOMES,
+    ErrorReport,
+    EstimateTable,
     P_FLOOR,
     THETA_MAX_DEG,
     DegenerateBranchError,
@@ -110,3 +113,40 @@ def oracle_povm(params: SetupParams) -> PovmSet:
         op = keep * dephased[(m1, m2)] + swap * dephased[(m1, -m2)]
         elements.append(PovmElement(label=(m1, m2), op=op))
     return PovmSet(tuple(elements))
+
+
+def oracle_error_report(terms, mean_square, variance_initial, assignments=None):
+    """Optimal estimates and the squared error of an assignment, one outcome at a time."""
+    if assignments is not None:
+        if set(assignments.labels()) != set(terms):
+            raise InvalidInputError("assignment table must cover exactly the outcome set")
+        if any(value is None for value in assignments.assignments.values()):
+            raise InvalidInputError("every outcome needs a finite assignment for error evaluation")
+    optimal = {}
+    epsilon_sq = mean_square
+    estimate_variance = residual = excluded = 0.0
+    for label, (p, c) in terms.items():
+        pivot = c / p if p > P_FLOOR else None
+        optimal[label] = pivot
+        if pivot is not None:
+            estimate_variance += pivot * c
+        else:
+            excluded += p
+        if assignments is not None:
+            assigned = assignments[label]
+            raw = assigned * assigned * p - 2.0 * assigned * c
+            epsilon_sq += raw
+            # Without a stable pivot, booking the raw error terms against the
+            # residual keeps the decomposition identity exact.
+            residual += raw if pivot is None else (assigned - pivot) ** 2 * p
+    if assignments is None:
+        epsilon_sq = mean_square - estimate_variance
+    report = ErrorReport(
+        epsilon_sq=epsilon_sq,
+        mean_square=mean_square,
+        variance_initial=variance_initial,
+        estimate_variance=estimate_variance,
+        residual=residual,
+        excluded_probability=excluded,
+    )
+    return EstimateTable(optimal), report

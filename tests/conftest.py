@@ -58,6 +58,11 @@ def random_dichotomic(rng) -> DichotomicObservable:
     return DichotomicObservable.from_operator(op)
 
 
+def m1_marginal(dist) -> dict[int, float]:
+    """Probabilities of the first outcome alone: an outcome distribution summed over m2."""
+    return {m1: sum(p for (a, _), p in dist.probs.items() if a == m1) for m1 in (1, -1)}
+
+
 def projector(observable: DichotomicObservable, sign: int) -> np.ndarray:
     """Spectral projector (1 + sign A) / 2 of a dichotomic observable."""
     return (np.eye(2) + sign * observable.op) / 2.0

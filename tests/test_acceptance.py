@@ -38,7 +38,6 @@ from seqpol.harness import (
     CROSSING_BRANCH_SWAP,
     CROSSING_SIGN_FLIP,
     analytic_row,
-    row_as_dict,
 )
 
 from conftest import SQRT2, projector, random_dichotomic, random_povm, random_state
@@ -282,8 +281,8 @@ def test_criterion_10_monte_carlo_consistency():
         for theta, seed in MC_SEEDS.items():
             params = SetupParams(theta)
             record = monte_carlo_counts(params, 67.5, MC_PHOTONS, rng_seed=seed)
-            estimated = row_as_dict(estimate_from_counts(record))
-            analytic = row_as_dict(analytic_row(params))
+            estimated = estimate_from_counts(record)
+            analytic = analytic_row(params)
             errors = bootstrap_standard_errors(
                 record, n_resamples=BOOTSTRAP_RESAMPLES, rng_seed=seed + 1000
             )

@@ -36,7 +36,6 @@ from seqpol import (
     variation_states,
 )
 from seqpol.analysis import calibrated_terms, outcome_terms
-from seqpol.harness import m1_terms
 
 from closed_forms import classical_conditional_average, sequential_conditional_average
 from conftest import (
@@ -452,7 +451,9 @@ class TestOutcomeTermSources:
         povm = sequential_povm(params)
         direct = outcome_terms(psi, povm, pm)
 
-        summed = m1_terms(direct)
+        summed = {
+            m1: tuple(direct[(m1, 1)][i] + direct[(m1, -1)][i] for i in (0, 1)) for m1 in (1, -1)
+        }
         marginal = outcome_terms(psi, pm_marginal_povm(params), pm)
         assert list(summed) == list(marginal)
         for label, (p, c) in marginal.items():

@@ -308,7 +308,7 @@ class TestMonteCarloCommand:
         main(argv + ["--output", str(second)])
         assert first.read_bytes() == second.read_bytes()
         row = read_csv(first)[0]
-        exact = harness.row_as_dict(harness.analytic_row(SetupParams(10.0)))
+        exact = harness.analytic_row(SetupParams(10.0))
         assert float(row["aopt_m1_plus"]) == pytest.approx(exact["aopt_m1_plus"], abs=0.02)
         assert float(row["eps_opt_m1m2"]) == pytest.approx(exact["eps_opt_m1m2"], abs=0.02)
 
@@ -411,3 +411,17 @@ def test_extreme_inputs_give_rows_or_one_error_line(argv, expected_status, capsy
     status = main(argv)
     assert_rows_or_one_error_line(argv, status, capsys.readouterr())
     assert status == expected_status
+
+
+@pytest.mark.parametrize("content", [
+    b"\xff\xfe" + b'{"steps": 3}',
+    b"[" * 100_000,
+    b'{"steps": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
+], ids=["utf-16-bom", "deep-list", "deep-value"])
+def test_bad_config_files_give_one_error_line(content, tmp_path, capsys):
+    path = tmp_path / "run.json"
+    path.write_bytes(content)
+    argv = ["sweep", "--config", str(path)]
+    status = main(argv)
+    assert_rows_or_one_error_line(argv, status, capsys.readouterr())
+    assert status == 2

@@ -22,9 +22,10 @@ from seqpol.harness import (
     CROSSING_BRANCH_SWAP,
     CROSSING_SIGN_FLIP,
     analytic_row,
-    row_as_dict,
+    estimate_grid,
 )
-from seqpol.instrument import OUTCOMES
+from seqpol import harness
+from seqpol.instrument import OUTCOMES, V_HV_DEFAULT
 
 from conftest import SQRT2
 
@@ -48,36 +49,55 @@ class TestSweepConfig:
         with pytest.raises(InvalidInputError):
             SweepConfig(theta_grid=())
 
+    @pytest.mark.parametrize("grid, v_pm, message", [
+        ((30.0, 1.0), 2.0, "theta_deg must lie"),
+        ((1.0, 30.0), 2.0, "v_pm must lie"),
+        ((1.0, math.nan), 0.93, "theta_deg must be finite"),
+        ((1.0,), math.inf, "v_pm must be finite"),
+    ])
+    def test_reports_what_a_setup_reports_first(self, grid, v_pm, message):
+        # the first setting, then the visibilities, then the other settings
+        with pytest.raises(InvalidInputError, match=message):
+            SweepConfig(theta_grid=grid, v_pm=v_pm)
+
+    def test_validates_without_a_setup_per_setting(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(
+            harness, "SetupParams", lambda *args: built.append(args) or SetupParams(*args)
+        )
+        run_sweep(SweepConfig(theta_grid=tuple(range(20)), v_pm=0.9))
+        assert built == [(0.0, 0.9, V_HV_DEFAULT)]
+
 
 class TestRunSweep:
     def test_zero_strength_estimates_depend_only_on_m2(self):
         config = SweepConfig(theta_grid=(0.0,), v_pm=1.0, v_hv=1.0)
         row = run_sweep(config)[0]
-        assert row.a_opt_m1m2[(1, 1)] == pytest.approx(SQRT2 + 1, abs=1e-9)
-        assert row.a_opt_m1m2[(-1, 1)] == pytest.approx(SQRT2 + 1, abs=1e-9)
-        assert row.a_opt_m1m2[(1, -1)] == pytest.approx(SQRT2 - 1, abs=1e-9)
-        assert row.a_opt_m1m2[(-1, -1)] == pytest.approx(SQRT2 - 1, abs=1e-9)
+        assert row["aopt_pp"] == pytest.approx(SQRT2 + 1, abs=1e-9)
+        assert row["aopt_mp"] == pytest.approx(SQRT2 + 1, abs=1e-9)
+        assert row["aopt_pm"] == pytest.approx(SQRT2 - 1, abs=1e-9)
+        assert row["aopt_mm"] == pytest.approx(SQRT2 - 1, abs=1e-9)
 
     def test_perfect_instrument_reaches_zero_error(self):
         rows = run_sweep(SweepConfig(v_pm=1.0, v_hv=1.0))
         for row in rows:
-            assert abs(row.eps_sq_opt_m1m2) <= 1e-9
+            assert abs(row["eps_opt_m1m2"]) <= 1e-9
 
     def test_calibrated_eigenvalue_error_endpoint(self):
         row = run_sweep(SweepConfig(theta_grid=(22.5,), v_pm=0.93))[0]
-        assert row.eps_sq_eigen == pytest.approx(0.14, abs=1e-9)
-        assert row.p_error == pytest.approx(0.035, abs=1e-12)
+        assert row["eps_eigen"] == pytest.approx(0.14, abs=1e-9)
+        assert row["p_error"] == pytest.approx(0.035, abs=1e-12)
 
     @pytest.mark.parametrize("visibilities", [(1.0, 1.0), (0.93, 0.9976)])
     def test_strategy_ordering(self, visibilities):
         rows = run_sweep(SweepConfig(v_pm=visibilities[0], v_hv=visibilities[1]))
         for row in rows:
-            assert row.eps_sq_opt_m1m2 <= row.eps_sq_opt_m1 + 1e-9
-            assert row.eps_sq_opt_m1 <= row.eps_sq_eigen + 1e-9
+            assert row["eps_opt_m1m2"] <= row["eps_opt_m1"] + 1e-9
+            assert row["eps_opt_m1"] <= row["eps_eigen"] + 1e-9
 
     def test_marginal_error_monotone_for_perfect_instrument(self):
         rows = run_sweep(SweepConfig(v_pm=1.0, v_hv=1.0))
-        values = [row.eps_sq_opt_m1 for row in rows]
+        values = [row["eps_opt_m1"] for row in rows]
         for previous, current in zip(values, values[1:]):
             assert current <= previous + 1e-12
 
@@ -85,9 +105,9 @@ class TestRunSweep:
         config = SweepConfig(theta_grid=(3.0, 12.0))
         assert run_sweep(config) == run_sweep(config)
 
-    def test_row_as_dict_key_order(self):
+    def test_row_key_order(self):
         row = analytic_row(SetupParams(10.0))
-        assert list(row_as_dict(row)) == [
+        assert list(row) == [
             "theta_deg", "p_error", "p_pp", "p_pm", "p_mp", "p_mm",
             "aopt_m1_plus", "aopt_m1_minus", "aopt_pp", "aopt_pm", "aopt_mp", "aopt_mm",
             "eps_eigen", "eps_opt_m1", "eps_opt_m1m2",
@@ -223,8 +243,8 @@ class TestEstimateFromCounts:
     @pytest.mark.parametrize("theta", [0.0, 6.0, 12.5, 22.5])
     def test_exact_frequencies_reproduce_analytic_row(self, theta):
         params = SetupParams(theta)
-        empirical = row_as_dict(estimate_from_counts(self._proportional_record(params)))
-        analytic = row_as_dict(analytic_row(params))
+        empirical = estimate_from_counts(self._proportional_record(params))
+        analytic = analytic_row(params)
         for key, value in analytic.items():
             assert empirical[key] == pytest.approx(value, abs=1e-9), key
 
@@ -244,10 +264,10 @@ class TestEstimateFromCounts:
             counts_minus=record.counts_minus,
         )
         row = estimate_from_counts(record)
-        assert row.a_opt_m1m2[(-1, 1)] is None
-        for outcome in ((1, 1), (1, -1), (-1, -1)):
-            assert row.a_opt_m1m2[outcome] is not None
-        assert row.eps_sq_opt_m1m2 is not None
+        assert row["aopt_mp"] is None
+        for key in ("aopt_pp", "aopt_pm", "aopt_mm"):
+            assert row[key] is not None
+        assert row["eps_opt_m1m2"] is not None
 
     def test_all_zero_run_rejected(self):
         params = SetupParams(5.0)
@@ -291,12 +311,27 @@ class TestEstimateFromCounts:
             )
 
 
+class TestEstimateGrid:
+    @pytest.mark.parametrize("n_photons", [1, 1000])
+    def test_rows_equal_the_one_row_estimates(self, n_photons):
+        grid = [monte_carlo_counts(SetupParams(theta, 0.93, 1.0), 10.0, n_photons, rng_seed=i)
+                for i, theta in enumerate((0.0, 7.5, 22.5))]
+        assert estimate_grid(grid) == [estimate_from_counts(record) for record in grid]
+
+    def test_records_share_angle_and_photon_number(self):
+        first = monte_carlo_counts(SetupParams(5.0), 67.5, 100, rng_seed=1)
+        for angle, n in ((45.0, 100), (67.5, 101)):
+            other = monte_carlo_counts(SetupParams(6.0), angle, n, rng_seed=2)
+            with pytest.raises(InvalidInputError, match="share"):
+                estimate_grid([first, other])
+
+
 class TestBootstrap:
     def test_estimates_within_three_standard_errors(self):
         params = SetupParams(10.0)
         record = monte_carlo_counts(params, 67.5, 10**6, rng_seed=301)
-        estimated = row_as_dict(estimate_from_counts(record))
-        exact = row_as_dict(analytic_row(params))
+        estimated = estimate_from_counts(record)
+        exact = analytic_row(params)
         errors = bootstrap_standard_errors(record, n_resamples=200, rng_seed=301)
         for field in ("aopt_m1_plus", "aopt_m1_minus", "aopt_pp", "aopt_pm",
                       "aopt_mp", "aopt_mm"):

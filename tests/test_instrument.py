@@ -21,7 +21,7 @@ from seqpol import (
 )
 
 from closed_forms import ideal_outcome_vector
-from conftest import SQRT2, projector
+from conftest import SQRT2, m1_marginal, projector
 
 THETAS = [0.0, 2.5, 7.0, 11.25, 14.0, 19.5, 22.5]
 
@@ -136,7 +136,7 @@ class TestMarginalPovm:
         for _ in range(100):
             params = SetupParams(rng.uniform(0, 22.5), rng.uniform(0, 1), rng.uniform(0, 1))
             state = make_linear_polarization(rng.uniform(-90, 90))
-            dist = outcome_probabilities(params, state).marginal_m1()
+            dist = m1_marginal(outcome_probabilities(params, state))
             for element in pm_marginal_povm(params):
                 assert abs(dist[element.label] - born_probability(state, element)) < 1e-12
 
@@ -186,7 +186,7 @@ class TestOutcomeProbabilities:
         psi = make_linear_polarization(67.5)
         dist = outcome_probabilities(SetupParams(22.5, v_pm=0.93), psi)
         # frozen: (1 + 0.93/sqrt(2)) / 2 from the brute-force construction
-        assert dist.marginal_m1()[1] == pytest.approx(0.8288046532517446, abs=1e-12)
+        assert m1_marginal(dist)[1] == pytest.approx(0.8288046532517446, abs=1e-12)
 
     def test_eigenstate_inputs_randomize_m2(self):
         for angle in (45.0, -45.0):
@@ -194,7 +194,7 @@ class TestOutcomeProbabilities:
             for v_hv in (1.0, 0.9976):
                 for theta in THETAS:
                     dist = outcome_probabilities(SetupParams(theta, 0.93, v_hv), eigenstate)
-                    marginal = dist.marginal_m1()
+                    marginal = m1_marginal(dist)
                     for (m1, m2), p in dist.probs.items():
                         assert abs(p - marginal[m1] / 2) < 1e-12
 

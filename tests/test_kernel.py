@@ -1,8 +1,12 @@
-"""The batched effect kernel against the one-effect-at-a-time oracle.
+"""The batched array steps against their one-at-a-time oracles.
 
 ``effect_stack`` builds every effect of a strength grid in one array and
 ``stack_terms`` takes (P, c) over it; the loop-built ``oracle_povm`` with the
 scalar ``born_probability`` and ``real_cross_correlation`` is the reference.
+``error_columns`` turns whole (P, c) tables into estimates and errors; the
+outcome-by-outcome ``oracle_error_report`` is its reference, and a
+bootstrap drawing its resamples one by one is the reference of
+``bootstrap_standard_errors``.
 """
 
 import csv
@@ -16,22 +20,28 @@ from hypothesis import strategies as st
 from seqpol import (
     OUTCOMES,
     P_FLOOR,
+    CountRecord,
+    EstimateTable,
     InvalidInputError,
     PovmElement,
     PovmSet,
     SetupParams,
     born_probability,
+    bootstrap_standard_errors,
+    estimate_from_counts,
     hermitian_eigenvalues,
     make_linear_polarization,
     make_stokes,
+    monte_carlo_counts,
     real_cross_correlation,
     validate_povm,
 )
-from seqpol.analysis import stack_terms
+from seqpol.analysis import calibrated_terms, error_columns, moments, stack_terms
 from seqpol.cli import main
+from seqpol.harness import SWEEP_COLUMNS
 from seqpol.instrument import _check_effects, effect_stack
 
-from closed_forms import oracle_povm
+from closed_forms import oracle_error_report, oracle_povm
 from conftest import ANGLE_EDGES, THETA_EDGES, V_HV_EDGES, V_PM_EDGES, with_edges
 
 TOL = 1e-12
@@ -119,6 +129,117 @@ class TestStackTerms:
     def test_rejects_what_born_probability_rejects(self, psi_67_5, effect, message):
         with pytest.raises(InvalidInputError, match=message):
             stack_terms(psi_67_5, np.array([[effect]]), PM)
+
+
+EIGENVALUES = EstimateTable({1: 1.0, -1: -1.0})
+
+
+def _assert_columns_match_the_oracle(p, c, mean_square, variance):
+    """Both (N, 4) tables and their m1 sums, with and without the eigenvalue assignment."""
+    p_m1, c_m1 = (0.0 + x[:, ::2] + x[:, 1::2] for x in (p, c))
+    cases = [(p, c, OUTCOMES, None), (p_m1, c_m1, (1, -1), None),
+             (p_m1, c_m1, (1, -1), EIGENVALUES)]
+    for p_k, c_k, labels, table in cases:
+        assignment = None if table is None else [table[label] for label in labels]
+        columns = error_columns(p_k, c_k, mean_square, assignment)
+        for n in range(len(p_k)):
+            terms = dict(zip(labels, zip(p_k[n].tolist(), c_k[n].tolist())))
+            oracle_table, report = oracle_error_report(terms, mean_square, variance, table)
+            expected = [
+                [math.nan if a is None else a for a in oracle_table.assignments.values()],
+                report.epsilon_sq, report.estimate_variance, report.residual,
+                report.excluded_probability,
+            ]
+            # repr tells -0.0 from 0.0 and round-trips every float: bit for bit
+            assert repr([column[n].tolist() for column in columns]) == repr(expected)
+
+
+class TestErrorColumns:
+    @settings(max_examples=300, deadline=None)
+    @given(
+        thetas=st.lists(with_edges(THETA_EDGES, 0.0, 22.5), min_size=1, max_size=5),
+        v_pm=with_edges(V_PM_EDGES, 0.0, 1.0),
+        v_hv=with_edges(V_HV_EDGES, 0.0, 1.0),
+        angle=with_edges(ANGLE_EDGES, -180.0, 180.0),
+    )
+    def test_matches_the_oracle_on_kernel_grids(self, thetas, v_pm, v_hv, angle):
+        psi = make_linear_polarization(angle)
+        p, c = stack_terms(psi, effect_stack(thetas, v_pm, v_hv), PM)
+        _assert_columns_match_the_oracle(p, c, *moments(psi, PM))
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        thetas=st.lists(with_edges(THETA_EDGES, 0.0, 22.5), min_size=1, max_size=4),
+        v_pm=with_edges(V_PM_EDGES, 0.0, 1.0),
+        v_hv=with_edges(V_HV_EDGES, 0.0, 1.0),
+        angle=with_edges(ANGLE_EDGES, -180.0, 180.0),
+        n_photons=st.one_of(st.just(1), st.integers(min_value=1, max_value=10**6)),
+        seed=st.integers(min_value=0, max_value=2**31),
+    )
+    def test_matches_the_oracle_on_count_frequencies(self, thetas, v_pm, v_hv, angle,
+                                                      n_photons, seed):
+        weight = 0.5 * (1.0 + math.sin(2.0 * math.radians(angle)))
+        p, c = [], []
+        for theta in thetas:
+            record = monte_carlo_counts(SetupParams(theta, v_pm, v_hv), angle, n_photons, seed)
+            f = {name: {o: k / n_photons for o, k in counts.items()}
+                 for name, counts in record.runs().items()}
+            terms = calibrated_terms(
+                f["psi"], {o: (f["plus"][o], f["minus"][o]) for o in OUTCOMES}, weight, 1.0 - weight
+            )
+            p.append([terms[o][0] for o in OUTCOMES])
+            c.append([terms[o][1] for o in OUTCOMES])
+        mean = weight - (1.0 - weight)
+        _assert_columns_match_the_oracle(np.array(p), np.array(c), 1.0, 1.0 - mean * mean)
+
+    def test_rejects_what_the_reports_reject(self):
+        p = np.array([[0.5, 0.5]])
+        with pytest.raises(InvalidInputError, match="finite"):
+            error_columns(p, np.array([[math.inf, 0.0]]), 1.0)
+        with pytest.raises(InvalidInputError, match="reconcile"):
+            error_columns(p, np.array([[0.1, 0.1]]), math.inf)
+        with pytest.raises(InvalidInputError, match="excluded"):
+            error_columns(np.array([[-0.5, 1.5]]), np.zeros((1, 2)), 1.0)
+        with pytest.raises(InvalidInputError, match="negative"):
+            error_columns(p, np.array([[0.5, -0.5]]), 0.5, nonnegative=True)
+        # the same error passes unscreened, as on the counts route
+        assert error_columns(p, np.array([[0.5, -0.5]]), 0.5).epsilon_sq.tolist() == [-0.5]
+
+
+def _sequential_bootstrap(record, n_resamples, rng_seed):
+    """The bootstrap one resample at a time: a record and an estimate per draw."""
+    n = record.n_photons
+    frequencies = {
+        name: np.array([counts[o] for o in OUTCOMES]) / sum(counts.values())
+        for name, counts in record.runs().items()
+    }
+    rng = np.random.default_rng((int(rng_seed),))
+    samples = {}
+    for _ in range(n_resamples):
+        resampled = {}
+        for name, pvals in frequencies.items():
+            draw = rng.multinomial(n, pvals / pvals.sum())
+            resampled[name] = {o: int(k) for o, k in zip(OUTCOMES, draw)}
+        row = estimate_from_counts(CountRecord(
+            setup=record.setup, input_angle_deg=record.input_angle_deg, n_photons=n,
+            rng_seed=record.rng_seed, counts_psi=resampled["psi"],
+            counts_plus=resampled["plus"], counts_minus=resampled["minus"],
+        ))
+        for key, value in row.items():
+            samples.setdefault(key, []).append(value)
+    return {
+        key: float(np.std(values, ddof=1))
+        for key, values in samples.items()
+        if all(v is not None for v in values)
+    }
+
+
+@pytest.mark.parametrize("n_photons", [1, 10**4, 10**6, 2**63 - 1])
+def test_bootstrap_equals_sequential_resampling(n_photons):
+    record = monte_carlo_counts(SetupParams(8.0), 67.5, n_photons, rng_seed=5)
+    batched = bootstrap_standard_errors(record, 40, rng_seed=3)
+    assert batched == _sequential_bootstrap(record, 40, rng_seed=3)
+    assert list(batched) == [key for key in SWEEP_COLUMNS if key in batched]
 
 
 def _oracle_terms(theta, angle=67.5, v_pm=0.93, v_hv=0.9976):
