@@ -56,6 +56,9 @@ NEGATIVITY_TOL = 1e-10
 # Eigenstate error probabilities closer than this count as one symmetric error.
 SYMMETRY_TOL = 1e-9
 
+# Largest rounding error bound of a probability reconstruction that is returned.
+RECONSTRUCTION_TOL = 1e-6
+
 
 @dataclass(frozen=True)
 class ReconstructionConfig:
@@ -71,10 +74,15 @@ class ReconstructionConfig:
         object.__setattr__(self, "lam", float(self.lam))
 
 
-def _require_probability(value: float, name: str) -> float:
-    if not isinstance(value, (int, float)) or not math.isfinite(value) or not 0.0 <= value <= 1.0:
-        raise InvalidInputError(f"{name} must be a probability in [0, 1], got {value!r}")
-    return float(value)
+def _require_probability(value, name: str):
+    """A number as a float, or a float array, once every entry lies in [0, 1]."""
+    number = isinstance(value, (int, float, np.ndarray))
+    values = np.asarray(value if number else np.nan, dtype=float)
+    outside = values[~((values >= 0.0) & (values <= 1.0))]
+    if outside.size:
+        got = value if values.ndim == 0 else float(outside[0])
+        raise InvalidInputError(f"{name} must be a probability in [0, 1], got {got!r}")
+    return values if values.ndim else float(value)
 
 
 def variation_states(
@@ -111,24 +119,25 @@ def variation_states(
     return states[0], states[1]
 
 
-def reconstruct_correlation(
-    p_plus: float,
-    p_minus: float,
-    mean_a: float,
-    mean_a2: float,
-    config: ReconstructionConfig,
-) -> float:
+def reconstruct_correlation(p_plus, p_minus, mean_a: float, mean_a2: float,
+                            config: ReconstructionConfig):
     """Re <psi| E A |psi> from outcome probabilities on the two variation states.
 
-    ``p_plus`` and ``p_minus`` are the probabilities of the same outcome on
-    the + and - variation branches; ``mean_a`` and ``mean_a2`` are the first
-    two moments of the target observable in the original state.
+    ``p_plus`` and ``p_minus``, numbers or float arrays, are the probabilities
+    of the same outcome on the + and - variation branches; ``mean_a`` and
+    ``mean_a2`` are the first two moments of the target observable in the
+    original state.  A ``lam`` whose rounding error bound (|w_plus| +
+    |w_minus|) eps / (4 |lam|) exceeds ``RECONSTRUCTION_TOL`` is an error.
     """
     p_plus = _require_probability(p_plus, "p_plus")
     p_minus = _require_probability(p_minus, "p_minus")
     lam = config.lam
     w_plus = 1.0 + 2.0 * lam * mean_a + lam * lam * mean_a2
     w_minus = 1.0 - 2.0 * lam * mean_a + lam * lam * mean_a2
+    bound = (abs(w_plus) + abs(w_minus)) * np.finfo(float).eps / (4.0 * abs(lam))
+    if not bound <= RECONSTRUCTION_TOL:
+        raise InvalidInputError(f"reconstruction at lam={lam!r} has a rounding error of up to "
+                                f"{bound:.3g}, above {RECONSTRUCTION_TOL:g}")
     return (w_plus * p_plus - w_minus * p_minus) / (4.0 * lam)
 
 
@@ -466,9 +475,6 @@ def two_level_optimal_error(
 class QuasiProbabilityTable:
     """Joint quasi-probabilities Re <psi| E_m Pi_a |psi> over (a, outcome).
 
-    With Pi_a = (1 + a A) / 2 each entry is (P(m) + a c_m) / 2, read from
-    the same per-outcome pair as every estimate.
-
     Both marginals reproduce ordinary probabilities, but individual entries
     may be negative; ``negativity_present`` flags entries below
     ``-NEGATIVITY_TOL``.  Negativity in an outcome's column is equivalent to
@@ -478,14 +484,6 @@ class QuasiProbabilityTable:
     entries: Mapping[tuple[int, Hashable], float]
     negativity_present: bool
 
-    @classmethod
-    def from_terms(cls, terms: OutcomeTerms) -> "QuasiProbabilityTable":
-        """The table of one setting from its (P, c) pairs."""
-        entries = {
-            (a, label): 0.5 * (p + a * c) for label, (p, c) in terms.items() for a in (1, -1)
-        }
-        return cls(entries=entries, negativity_present=min(entries.values()) < -NEGATIVITY_TOL)
-
     def outcome_marginal(self, label) -> float:
         return self.entries[(1, label)] + self.entries[(-1, label)]
 
@@ -493,8 +491,21 @@ class QuasiProbabilityTable:
         return sum(value for (sign, _), value in self.entries.items() if sign == a)
 
 
+def quasi_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Entries Re<psi|E_m (1 + a A)/2|psi> = (P(m) + a c_m) / 2 over ``(..., K)`` pairs.
+
+    The entries have shape ``(..., 2, K)``, a = +1 first; the flag, of the
+    leading shape, marks a setting with an entry below ``-NEGATIVITY_TOL``.
+    """
+    entries = 0.5 * np.stack([p + c, p - c], axis=-2)
+    return entries, entries.min(axis=(-2, -1)) < -NEGATIVITY_TOL
+
+
 def quasi_probability(
     state: QubitState, povm: PovmSet, observable: DichotomicObservable
 ) -> QuasiProbabilityTable:
     """Quasi-probability table of outcomes against target eigenvalues."""
-    return QuasiProbabilityTable.from_terms(outcome_terms(state, povm, observable))
+    terms = outcome_terms(state, povm, observable)
+    entries, negative = quasi_entries(*np.array(list(terms.values())).T)
+    keys = [(a, label) for a in (1, -1) for label in terms]
+    return QuasiProbabilityTable(dict(zip(keys, entries.ravel().tolist())), bool(negative))

@@ -2,36 +2,42 @@
 checks, and the quasi-probability diagnostic, emitted as CSV or JSON.
 
 Precedence for every setting: command-line flags override config-file values,
-which override built-in defaults.  Output is bit-stable: the same
-configuration (including the seed) always produces byte-identical files.
+which override built-in defaults.  Each command builds a table of columns.
+Floats are written as their shortest round-trip decimals (``repr``), column by
+column: CSV in one ``csv`` writer call, JSON in the ``indent=2`` layout of
+``json.dumps`` around cells that the C encoder writes a whole column at a time.
+The same configuration (including the seed) always gives byte-identical files.
 """
 
 import argparse
 import csv
+import functools
 import io
 import json
 import math
 import sys
 from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
+
+import numpy as np
 
 from .algebra import expectation, make_linear_polarization, make_stokes
 from .analysis import (
-    QuasiProbabilityTable,
     ReconstructionConfig,
-    conditional_average,
+    error_columns,
+    quasi_entries,
     reconstruct_correlation,
     stack_terms,
     variation_states,
 )
-from .exceptions import SeqpolError, UnresolvableOutcomeError
+from .exceptions import SeqpolError
 from .harness import (
     DEFAULT_INPUT_ANGLE_DEG,
     SWEEP_COLUMNS,
     SweepConfig,
     estimate_grid,
     find_crossings,
-    grid_terms,
     monte_carlo_counts,
     run_sweep,
 )
@@ -44,19 +50,15 @@ from .instrument import (
     effect_stack,
 )
 
-CROSSING_COLUMNS = ["description", "theta_deg"]
 RECONSTRUCT_COLUMNS = [
     "theta_deg", "lam", "m1", "m2", "p_outcome",
     "corr_reconstructed", "corr_direct", "abs_diff", "a_opt",
 ]
-LGI_COLUMNS = [
-    "theta_deg",
-    "q_plus_pp", "q_plus_pm", "q_plus_mp", "q_plus_mm",
-    "q_minus_pp", "q_minus_pm", "q_minus_mp", "q_minus_mm",
-    "negativity",
-]
+LGI_COLUMNS = ["theta_deg", *(f"q_{a}_{outcome}" for a in ("plus", "minus")
+                              for outcome in ("pp", "pm", "mp", "mm")), "negativity"]
 
-_COMMANDS = ("sweep", "crossings", "montecarlo", "reconstruct", "lgi")
+# An output table: column name -> the column's cells, in output order.
+Table = dict[str, list]
 
 _COMMON_DEFAULTS = {
     "v_pm": V_PM_DEFAULT,
@@ -69,13 +71,8 @@ _COMMON_DEFAULTS = {
     "output": "-",
     "format": "csv",
 }
-_COMMAND_DEFAULTS = {
-    "sweep": {},
-    "crossings": {},
-    "lgi": {},
-    "montecarlo": {"n_photons": 1_000_000, "seed": 12345},
-    "reconstruct": {"lam": 1.0},
-}
+_COMMAND_DEFAULTS = {"montecarlo": {"n_photons": 1_000_000, "seed": 12345},
+                     "reconstruct": {"lam": 1.0}}
 _GRID_KEYS = ("theta_min", "theta_max", "steps")
 
 
@@ -103,6 +100,7 @@ def _flag(key: str) -> str:
     return "--" + key.replace("_", "-")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="seqpol",
@@ -116,8 +114,8 @@ def _build_parser() -> argparse.ArgumentParser:
         "reconstruct": "compare probability reconstruction against the operator product",
         "lgi": "quasi-probability table with a negativity flag per strength",
     }
-    for command in _COMMANDS:
-        p = sub.add_parser(command, help=descriptions[command])
+    for command, description in descriptions.items():
+        p = sub.add_parser(command, help=description)
         p.add_argument("--config", default=None, help="JSON file with key/value settings")
         p.add_argument("--v-pm", dest="v_pm", type=float, default=None,
                        help=f"interferometer visibility (default {V_PM_DEFAULT})")
@@ -183,7 +181,7 @@ def parse_config(argv=None) -> RunConfig:
     namespace = _build_parser().parse_args(argv)
     command = namespace.command
     defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_COMMAND_DEFAULTS[command])
+    defaults.update(_COMMAND_DEFAULTS.get(command, {}))
 
     merged = dict(defaults)
     explicit: set[str] = set()
@@ -247,21 +245,30 @@ def parse_config(argv=None) -> RunConfig:
     )
 
 
-def _montecarlo_records(config: RunConfig) -> list[dict]:
-    return estimate_grid([
+def _sweep_table(config: RunConfig) -> Table:
+    rows = run_sweep(SweepConfig(config.theta_grid, config.v_pm, config.v_hv,
+                                 config.input_angle_deg))
+    return {key: list(map(itemgetter(key), rows)) for key in SWEEP_COLUMNS}
+
+
+def _montecarlo_table(config: RunConfig) -> Table:
+    rows = estimate_grid([
         monte_carlo_counts(SetupParams(theta, config.v_pm, config.v_hv), config.input_angle_deg,
                            config.n_photons, config.seed + index)
         for index, theta in enumerate(config.theta_grid)
     ])
+    return {key: list(map(itemgetter(key), rows)) for key in SWEEP_COLUMNS}
 
 
-def _crossing_records(config: RunConfig) -> list[dict]:
+def _crossings_table(config: RunConfig) -> Table:
     crossings = find_crossings(SweepConfig(config.theta_grid, config.v_pm, config.v_hv,
                                            config.input_angle_deg))
-    return [{"description": c.description, "theta_deg": c.theta_deg} for c in crossings]
+    return {"description": [c.description for c in crossings],
+            "theta_deg": [c.theta_deg for c in crossings]}
 
 
-def _reconstruct_records(config: RunConfig) -> list[dict]:
+def _reconstruct_table(config: RunConfig) -> Table:
+    """Rows ordered by strength, then by outcome, as columns of length 4N."""
     psi = make_linear_polarization(config.input_angle_deg)
     target = make_stokes("PM")
     reconstruction = ReconstructionConfig(config.lam)
@@ -269,103 +276,96 @@ def _reconstruct_records(config: RunConfig) -> list[dict]:
     mean_a = expectation(psi, target.op)
     mean_a2 = expectation(psi, target.op @ target.op)
     effects = effect_stack(config.theta_grid, config.v_pm, config.v_hv)
-    p_plus = stack_terms(plus_state, effects, target)[0].tolist()
-    p_minus = stack_terms(minus_state, effects, target)[0].tolist()
-    records = []
-    for theta, terms, plus_row, minus_row in zip(
-        config.theta_grid, grid_terms(psi, effects, target), p_plus, p_minus
-    ):
-        for (m1, m2), p_given_plus, p_given_minus in zip(OUTCOMES, plus_row, minus_row):
-            reconstructed = reconstruct_correlation(
-                p_given_plus, p_given_minus, mean_a, mean_a2, reconstruction
-            )
-            p_outcome, direct = terms[(m1, m2)]
-            try:
-                a_opt = conditional_average(direct, p_outcome, outcome=(m1, m2))
-            except UnresolvableOutcomeError:
-                a_opt = None
-            records.append({
-                "theta_deg": theta,
-                "lam": config.lam,
-                "m1": m1,
-                "m2": m2,
-                "p_outcome": p_outcome,
-                "corr_reconstructed": reconstructed,
-                "corr_direct": direct,
-                "abs_diff": abs(reconstructed - direct),
-                "a_opt": a_opt,
-            })
-    return records
+    p, c = stack_terms(psi, effects, target)
+    reconstructed = reconstruct_correlation(stack_terms(plus_state, effects, target)[0].ravel(),
+                                            stack_terms(minus_state, effects, target)[0].ravel(),
+                                            mean_a, mean_a2, reconstruction)
+    a_opt = error_columns(p, c, mean_a2).optimal.ravel().tolist()
+    return dict(zip(RECONSTRUCT_COLUMNS, (
+        np.repeat(config.theta_grid, len(OUTCOMES)).tolist(),
+        [config.lam] * p.size,
+        *np.tile(OUTCOMES, (len(p), 1)).T.tolist(),
+        p.ravel().tolist(),
+        reconstructed.tolist(),
+        c.ravel().tolist(),
+        np.abs(reconstructed - c.ravel()).tolist(),
+        [None if math.isnan(value) else value for value in a_opt],
+    )))
 
 
-def _lgi_records(config: RunConfig) -> list[dict]:
+def _lgi_table(config: RunConfig) -> Table:
     psi = make_linear_polarization(config.input_angle_deg)
     target = make_stokes("PM")
-    effects = effect_stack(config.theta_grid, config.v_pm, config.v_hv)
-    records = []
-    for theta, terms in zip(config.theta_grid, grid_terms(psi, effects, target)):
-        table = QuasiProbabilityTable.from_terms(terms)
-        record = {"theta_deg": theta}
-        for sign, prefix in ((1, "q_plus_"), (-1, "q_minus_")):
-            for outcome, suffix in zip(OUTCOMES, ("pp", "pm", "mp", "mm")):
-                record[prefix + suffix] = table.entries[(sign, outcome)]
-        record["negativity"] = table.negativity_present
-        records.append(record)
-    return records
+    p, c = stack_terms(psi, effect_stack(config.theta_grid, config.v_pm, config.v_hv), target)
+    entries, negativity = quasi_entries(p, c)
+    # (N, a, outcome) -> one column per (a, outcome), a = +1 first
+    quasi = entries.transpose(1, 2, 0).reshape(-1, len(p)).tolist()
+    return {"theta_deg": list(config.theta_grid), **dict(zip(LGI_COLUMNS[1:-1], quasi)),
+            "negativity": negativity.tolist()}
 
 
-def run(config: RunConfig) -> tuple[list[str], list[dict]]:
-    """Execute the resolved command; returns (column order, row records)."""
-    if config.command == "sweep":
-        return SWEEP_COLUMNS, run_sweep(SweepConfig(config.theta_grid, config.v_pm, config.v_hv,
-                                                    config.input_angle_deg))
-    if config.command == "montecarlo":
-        return SWEEP_COLUMNS, _montecarlo_records(config)
-    if config.command == "crossings":
-        return CROSSING_COLUMNS, _crossing_records(config)
-    if config.command == "reconstruct":
-        return RECONSTRUCT_COLUMNS, _reconstruct_records(config)
-    if config.command == "lgi":
-        return LGI_COLUMNS, _lgi_records(config)
-    raise UsageError(f"unknown command {config.command!r}")
+_TABLES = {"sweep": _sweep_table, "crossings": _crossings_table,
+           "montecarlo": _montecarlo_table, "reconstruct": _reconstruct_table, "lgi": _lgi_table}
 
 
-def _cell(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
+def run(config: RunConfig) -> Table:
+    """Execute the resolved command; returns its table, one list per column in output order."""
+    return _TABLES[config.command](config)
 
 
-def render_csv(records: list[dict], header: list[str]) -> str:
+def _csv_cells(column: list) -> list:
+    """Cells for csv, which writes floats as ``repr`` and None as empty; bools become words."""
+    if bool not in set(map(type, column)):
+        return column
+    return [("true" if value else "false") if type(value) is bool else value for value in column]
+
+
+def render_csv(table: Table) -> str:
     buffer = io.StringIO()
     writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(header)
-    for record in records:
-        writer.writerow([_cell(record[key]) for key in header])
+    writer.writerow(table)
+    writer.writerows(zip(*map(_csv_cells, table.values())))
     return buffer.getvalue()
 
 
-def render_json(records: list[dict], header: list[str]) -> str:
-    """JSON text of the rows; a NaN or infinite value has no JSON form and is an error."""
-    ordered = [{key: record[key] for key in header} for record in records]
+# Encodes one value, or a whole list of them, in the json module's C encoder.
+_encode = json.JSONEncoder(allow_nan=False).encode
+
+
+def _json_cells(column: list) -> list[str]:
+    """Each value's JSON text; a column of numbers, bools and nulls is encoded in one call."""
+    if set(map(type, column)) <= {float, int, bool, type(None)}:
+        return _encode(column)[1:-1].split(", ")
+    return list(map(_encode, column))
+
+
+def render_json(table: Table) -> str:
+    """JSON text of the rows, laid out as ``json.dumps(rows, indent=2)`` lays it out.
+
+    A NaN or infinite value has no JSON form and is an error.
+    """
+    columns = list(table.values())
+    if not columns or not columns[0]:
+        return "[]\n"
     try:
-        return json.dumps(ordered, indent=2, allow_nan=False) + "\n"
-    except ValueError as exc:
-        raise SeqpolError(f"cannot write JSON: {exc}") from None
+        cells = list(map(_json_cells, columns))
+    except ValueError:  # name the value, as the C encoder's message does not
+        value = next(value for row in zip(*columns) for value in row
+                     if isinstance(value, float) and not math.isfinite(value))
+        raise SeqpolError("cannot write JSON: Out of range float values are not JSON compliant: "
+                          f"{value!r}") from None
+    rows = zip(*(map(f"    {_encode(key)}: ".__add__, column) for key, column in zip(table, cells)))
+    return "[\n  {\n" + "\n  },\n  {\n".join(map(",\n".join, rows)) + "\n  }\n]\n"
 
 
-def emit(records: list[dict], header: list[str], fmt: str, path: str) -> None:
-    """Write rows as CSV or JSON to a path, or to stdout for '-'.
+def emit(table: Table, fmt: str, path: str) -> None:
+    """Write a table as CSV or JSON to a path, or to stdout for '-'.
 
     Floats are rendered as their shortest round-trip decimals and unresolvable
     cells come out empty (CSV) or null (JSON), so identical configurations
     yield byte-identical artifacts.
     """
-    text = render_csv(records, header) if fmt == "csv" else render_json(records, header)
+    text = render_csv(table) if fmt == "csv" else render_json(table)
     if path == "-":
         sys.stdout.write(text)
     else:
@@ -373,16 +373,18 @@ def emit(records: list[dict], header: list[str], fmt: str, path: str) -> None:
 
 
 def main(argv=None) -> int:
+    """Run one command line; a failure is one ``error:`` line and exit status 2 or 1."""
     try:
         config = parse_config(argv)
+        emit(run(config), config.fmt, config.output)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    try:
-        header, records = run(config)
-        emit(records, header, config.fmt, config.output)
     except (SeqpolError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 1
+    except MemoryError:
+        print("error: out of memory", file=sys.stderr)
         return 1
     return 0
 

@@ -19,13 +19,7 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import (
-    DichotomicObservable,
-    QubitState,
-    born_probability,
-    make_linear_polarization,
-    make_stokes,
-)
+from .algebra import make_linear_polarization, make_stokes
 from .analysis import (
     SYMMETRY_TOL,
     OutcomeTerms,
@@ -41,7 +35,6 @@ from .instrument import (
     V_PM_DEFAULT,
     _require_theta,
     effect_stack,
-    sequential_povm,
 )
 
 DEFAULT_INPUT_ANGLE_DEG = 67.5
@@ -117,14 +110,6 @@ def _table_rows(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float
     for estimates in cells[6:12]:
         estimates[:] = [None if math.isnan(value) else value for value in estimates]
     return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*cells)]
-
-
-def grid_terms(
-    state: QubitState, effects: np.ndarray, target: DichotomicObservable
-) -> list[dict[tuple[int, int], tuple[float, float]]]:
-    """One (P, c) table per grid point of an :func:`effect_stack`, keyed by outcome."""
-    p, c = stack_terms(state, effects, target)
-    return [dict(zip(OUTCOMES, zip(p_row, c_row))) for p_row, c_row in zip(p.tolist(), c.tolist())]
 
 
 def run_sweep(config: SweepConfig) -> list[dict]:
@@ -203,8 +188,9 @@ def find_crossings(config: SweepConfig) -> list[Crossing]:
     tables: dict[float, OutcomeTerms] = {}
 
     def evaluate(thetas) -> None:
-        effects = effect_stack(thetas, config.v_pm, config.v_hv)
-        tables.update(zip(thetas, grid_terms(state, effects, target)))
+        p, c = stack_terms(state, effect_stack(thetas, config.v_pm, config.v_hv), target)
+        rows = zip(p.tolist(), c.tolist())
+        tables.update(zip(thetas, (dict(zip(OUTCOMES, zip(*row))) for row in rows)))
 
     def terms(theta: float) -> OutcomeTerms:
         if theta not in tables:
@@ -287,10 +273,11 @@ def monte_carlo_counts(
         make_linear_polarization(45.0),
         make_linear_polarization(-45.0),
     )
-    povm = sequential_povm(setup)
+    effects = effect_stack((setup.theta_deg,), setup.v_pm, setup.v_hv)
+    target = make_stokes("PM")
     draws = []
     for run_index, state in enumerate(states):
-        pvals = np.array([born_probability(state, element) for element in povm])
+        pvals = stack_terms(state, effects, target)[0][0]
         rng = np.random.default_rng((int(rng_seed), run_index))
         counts = rng.multinomial(int(n_photons), pvals / pvals.sum())
         draws.append({outcome: int(k) for outcome, k in zip(OUTCOMES, counts)})

@@ -5,9 +5,14 @@ the loop form that ``seqpol.instrument.effect_stack`` replaces for whole
 grids.  The conditional averages follow from the ideal effects with a
 symmetric PM error probability and an HV readout that is fully random for P
 and M eigenstate inputs.  The error report is the outcome-by-outcome loop
-that ``seqpol.analysis.error_columns`` replaces for whole tables.
+that ``seqpol.analysis.error_columns`` replaces for whole tables.  The
+renderers write rows one cell at a time, as ``seqpol.cli`` did before it
+wrote its tables by columns.
 """
 
+import csv
+import io
+import json
 import math
 
 import numpy as np
@@ -22,6 +27,7 @@ from seqpol import (
     InvalidInputError,
     PovmElement,
     PovmSet,
+    SeqpolError,
     SetupParams,
     UnresolvableOutcomeError,
 )
@@ -150,3 +156,31 @@ def oracle_error_report(terms, mean_square, variance_initial, assignments=None):
         excluded_probability=excluded,
     )
     return EstimateTable(optimal), report
+
+
+def _cell(value) -> str:
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(value)
+    return str(value)
+
+
+def oracle_render_csv(records: list[dict], header: list[str]) -> str:
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    writer.writerow(header)
+    for record in records:
+        writer.writerow([_cell(record[key]) for key in header])
+    return buffer.getvalue()
+
+
+def oracle_render_json(records: list[dict], header: list[str]) -> str:
+    """JSON text of the rows; a NaN or infinite value has no JSON form and is an error."""
+    ordered = [{key: record[key] for key in header} for record in records]
+    try:
+        return json.dumps(ordered, indent=2, allow_nan=False) + "\n"
+    except ValueError as exc:
+        raise SeqpolError(f"cannot write JSON: {exc}") from None

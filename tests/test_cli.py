@@ -3,9 +3,16 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from closed_forms import oracle_render_csv, oracle_render_json
 from seqpol import SeqpolError, SetupParams, cli, harness, instrument
 from seqpol.cli import (
     LGI_COLUMNS,
@@ -16,6 +23,7 @@ from seqpol.cli import (
     main,
     parse_config,
     render_csv,
+    render_json,
 )
 
 EXPECTED_HEADER = (
@@ -27,6 +35,11 @@ EXPECTED_HEADER = (
 def read_csv(path):
     with open(path, newline="", encoding="utf-8") as handle:
         return list(csv.DictReader(handle))
+
+
+def columns(rows, header):
+    """The output table of ``rows``: one list per column of ``header``."""
+    return {key: [row[key] for row in rows] for key in header}
 
 
 def read_rows_json(path):
@@ -168,7 +181,7 @@ class TestJsonRoundTrip:
         rows = read_rows_json(str(out))
         assert len(rows) == 5
         assert list(rows[0]) == SWEEP_COLUMNS
-        emit(rows, SWEEP_COLUMNS, "json", str(tmp_path / "again.json"))
+        emit(columns(rows, SWEEP_COLUMNS), "json", str(tmp_path / "again.json"))
         assert out.read_bytes() == (tmp_path / "again.json").read_bytes()
 
     def test_json_mirrors_csv_schema(self, tmp_path):
@@ -186,26 +199,26 @@ class TestJsonRoundTrip:
 class TestEmit:
     def test_empty_rows_give_header_only(self, tmp_path):
         path = tmp_path / "empty.csv"
-        emit([], SWEEP_COLUMNS, "csv", str(path))
+        emit(columns([], SWEEP_COLUMNS), "csv", str(path))
         assert path.read_text(encoding="utf-8") == EXPECTED_HEADER + "\n"
 
     def test_unresolvable_cells_are_empty(self):
         record = {key: None for key in SWEEP_COLUMNS}
         record["theta_deg"] = 1.0
-        text = render_csv([record], SWEEP_COLUMNS)
+        text = render_csv(columns([record], SWEEP_COLUMNS))
         assert text.splitlines()[1] == "1.0" + "," * (len(SWEEP_COLUMNS) - 1)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_non_finite_json_value_is_an_error(self, value, tmp_path):
         path = tmp_path / "rows.json"
         with pytest.raises(SeqpolError, match="JSON"):
-            emit([{"x": value}], ["x"], "json", str(path))
+            emit({"x": [value]}, "json", str(path))
         assert not path.exists()
 
     def test_non_finite_record_exits_with_one_error_line(self, monkeypatch, capsys):
         record = dict.fromkeys(SWEEP_COLUMNS, 0.5)
         record["eps_opt_m1m2"] = math.nan
-        monkeypatch.setattr(cli, "run", lambda config: (SWEEP_COLUMNS, [record]))
+        monkeypatch.setattr(cli, "run", lambda config: columns([record], SWEEP_COLUMNS))
         assert main(["sweep", "--format", "json"]) == 1
         captured = capsys.readouterr()
         assert captured.out == ""
@@ -214,9 +227,69 @@ class TestEmit:
 
     def test_shortest_round_trip_decimals(self):
         value = 0.1 + 0.2  # 0.30000000000000004
-        text = render_csv([{"x": value}], ["x"])
+        text = render_csv({"x": [value]})
         assert text.splitlines()[1] == repr(value)
         assert float(text.splitlines()[1]) == value
+
+
+# Cells of every kind a table can hold, with the floats where repr switches to
+# an exponent, and strings that csv must quote or JSON must escape.
+EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 0.1 + 0.2, 1.7976931348623157e308)
+EDGE_TEXT = (",", '"', ", ", "a\nb", "x\r\ny", "é", "ü, \"q\"", "", "null", "{}")
+cells = st.one_of(
+    st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(), st.booleans(), st.none(), st.sampled_from(EDGE_TEXT), st.text(),
+)
+
+
+@st.composite
+def records(draw, cell_values=cells):
+    """A header of one to five names and zero to six rows of cells."""
+    header = draw(st.lists(st.one_of(st.sampled_from(EDGE_TEXT), st.text()),
+                           min_size=1, max_size=5, unique=True))
+    rows = draw(st.lists(st.fixed_dictionaries({key: cell_values for key in header}),
+                         max_size=6))
+    return rows, header
+
+
+class TestRenderersMatchOracles:
+    """The column renderers write the bytes of the row-by-row oracles."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=records())
+    def test_csv_bytes(self, table):
+        rows, header = table
+        assert render_csv(columns(rows, header)) == oracle_render_csv(rows, header)
+
+    @settings(max_examples=300, deadline=None)
+    @given(table=records())
+    def test_json_bytes(self, table):
+        rows, header = table
+        assert render_json(columns(rows, header)) == oracle_render_json(rows, header)
+
+    @pytest.mark.parametrize("header, rows", [
+        (["x"], []),
+        (["x"], [{"x": None}]),
+        (["x"], [{"x": ""}]),
+        (SWEEP_COLUMNS, []),
+    ])
+    def test_zero_rows_and_one_column(self, header, rows):
+        assert render_csv(columns(rows, header)) == oracle_render_csv(rows, header)
+        assert render_json(columns(rows, header)) == oracle_render_json(rows, header)
+
+    @settings(max_examples=200, deadline=None)
+    @given(table=records(st.one_of(cells, st.sampled_from([math.nan, math.inf, -math.inf])),))
+    def test_non_finite_values(self, table):
+        rows, header = table
+        assert render_csv(columns(rows, header)) == oracle_render_csv(rows, header)
+        try:
+            expected = oracle_render_json(rows, header)
+        except SeqpolError as exc:
+            with pytest.raises(SeqpolError) as raised:
+                render_json(columns(rows, header))
+            assert str(raised.value) == str(exc)
+        else:
+            assert render_json(columns(rows, header)) == expected
 
 
 class TestCrossingsCommand:
@@ -405,6 +478,11 @@ def test_edge_inputs_give_rows_or_one_error_line(command, angle, capsys):
     (["reconstruct", "--lam=1e200"], 1),
     (["reconstruct", "--lam=-1e200"], 1),
     (["montecarlo", "--n-photons", "9223372036854775808"], 1),
+    (["reconstruct", "--lam", "1e12"], 1),
+    (["reconstruct", "--lam", "1.3e154"], 1),
+    (["reconstruct", "--lam", "1e-12"], 1),
+    (["reconstruct", "--lam", "1e4"], 0),
+    (["reconstruct", "--lam=-1e4"], 0),
 ])
 def test_extreme_inputs_give_rows_or_one_error_line(argv, expected_status, capsys):
     argv = [*argv, "--steps", "2"]
@@ -425,3 +503,32 @@ def test_bad_config_files_give_one_error_line(content, tmp_path, capsys):
     status = main(argv)
     assert_rows_or_one_error_line(argv, status, capsys.readouterr())
     assert status == 2
+
+
+@pytest.mark.parametrize("lam", ["1e4", "1e8", "1e-9"])
+def test_reconstruct_rows_stay_within_the_rounding_bound(lam, capsys):
+    assert main(["reconstruct", "--theta", "10", "--lam", lam, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)
+    assert max(row["abs_diff"] for row in rows) <= 1e-6
+
+
+def test_out_of_memory_gives_one_error_line():
+    # The limit applies to the child alone; 200 million grid points need some
+    # 6 GB, so the child fails within about 150 MB above its imports.
+    child = (
+        "import resource, sys\n"
+        "from seqpol.cli import main\n"
+        "limit = 256 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "sys.exit(main(['sweep', '--steps', '200000000']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: out of memory\n")
+
+
+def test_parser_is_built_once():
+    assert cli._build_parser() is cli._build_parser()
