@@ -96,8 +96,7 @@ def variation_states(
     raises :class:`DegenerateBranchError`.
     """
     lam = config.lam
-    mean = expectation(psi, observable.op)
-    mean_square = expectation(psi, observable.op @ observable.op)
+    mean, mean_square, _ = moments(psi, observable)
     states = []
     for sign in (1, -1):
         weight = 1.0 + 2.0 * sign * lam * mean + lam * lam * mean_square
@@ -170,11 +169,9 @@ def two_level_conditional_average(
     state; it is an independent quantity, not the sum of the numerator terms,
     which is what lets the result leave the eigenvalue range.
     """
-    terms = calibrated_terms(
-        {outcome: p_m_psi}, {outcome: (p_m_given_plus, p_m_given_minus)}, p_plus_psi, p_minus_psi
-    )
-    p, c = terms[outcome]
-    return conditional_average(c, p, outcome=outcome)
+    terms = calibrated_terms({outcome: p_m_psi}, {outcome: (p_m_given_plus, p_m_given_minus)},
+                             p_plus_psi, p_minus_psi)
+    return conditional_average(terms[outcome][1], terms[outcome][0], outcome=outcome)
 
 
 def symmetric_error_probability(
@@ -185,13 +182,19 @@ def symmetric_error_probability(
     ``p_flip_plus`` is the probability of outcome -1 for a +1 eigenstate input
     and ``p_flip_minus`` the probability of +1 for a -1 eigenstate.  Returns
     ``None`` when they differ by more than ``tol``, in which case the general
-    probability-based error evaluation must be used instead.
+    probability-based error evaluation must be used instead.  The one-point
+    view of :func:`symmetric_confusion`.
     """
+    p_error, symmetric = symmetric_confusion(p_flip_plus, p_flip_minus, tol)
+    return float(p_error) if symmetric else None
+
+
+def symmetric_confusion(p_flip_plus, p_flip_minus, tol: float = SYMMETRY_TOL):
+    """Mean error probability 0.5 (p_flip_plus + p_flip_minus), and whether the two
+    flips lie within ``tol`` of each other, over numbers or float arrays."""
     p_flip_plus = _require_probability(p_flip_plus, "p_flip_plus")
     p_flip_minus = _require_probability(p_flip_minus, "p_flip_minus")
-    if abs(p_flip_plus - p_flip_minus) >= tol:
-        return None
-    return 0.5 * (p_flip_plus + p_flip_minus)
+    return 0.5 * (p_flip_plus + p_flip_minus), np.abs(p_flip_plus - p_flip_minus) < tol
 
 
 @dataclass(frozen=True)
@@ -308,22 +311,27 @@ def calibrated_terms(
     ``outcome_probs`` holds P(m|psi) from the direct run, ``eigenstate_probs``
     holds (P(m|+), P(m|-)) from the eigenstate calibration runs, and the
     eigenstate weights of the input complete the correlation
-    c_m = P(m|+) p_plus - P(m|-) p_minus of a two-level target.
+    c_m = P(m|+) p_plus - P(m|-) p_minus of a two-level target.  Every
+    probability must be a number in [0, 1].
     """
-    p_plus_psi = _require_probability(p_plus_psi, "p_plus_psi")
-    p_minus_psi = _require_probability(p_minus_psi, "p_minus_psi")
     if set(outcome_probs) != set(eigenstate_probs):
         raise InvalidInputError("probability tables must share one outcome set")
-    terms = {}
-    for label, p in outcome_probs.items():
-        given_plus, given_minus = eigenstate_probs[label]
-        given_plus = _require_probability(given_plus, f"P({label!r}|+)")
-        given_minus = _require_probability(given_minus, f"P({label!r}|-)")
-        terms[label] = (
-            _require_probability(p, f"P({label!r})"),
-            given_plus * p_plus_psi - given_minus * p_minus_psi,
-        )
-    return terms
+    table = [(outcome_probs[label], *eigenstate_probs[label]) for label in outcome_probs]
+    for value in (p_plus_psi, p_minus_psi, *(value for row in table for value in row)):
+        if not isinstance(value, (int, float)):
+            raise InvalidInputError(f"a probability must be a number in [0, 1], got {value!r}")
+    p, given_plus, given_minus = np.array(table, float).reshape(len(table), 3).T
+    p, c = calibrated_columns(p, given_plus, given_minus, p_plus_psi, p_minus_psi)
+    return dict(zip(outcome_probs, zip(p.tolist(), c.tolist())))
+
+
+def calibrated_columns(p, given_plus, given_minus, p_plus_psi, p_minus_psi):
+    """:func:`calibrated_terms` over float arrays of P(m|psi), P(m|+) and P(m|-)."""
+    p_plus_psi = _require_probability(p_plus_psi, "p_plus_psi")
+    p_minus_psi = _require_probability(p_minus_psi, "p_minus_psi")
+    given_plus = _require_probability(given_plus, "P(m|+)")
+    given_minus = _require_probability(given_minus, "P(m|-)")
+    return _require_probability(p, "P(m)"), given_plus * p_plus_psi - given_minus * p_minus_psi
 
 
 # Optimal assignments and error decomposition of N settings, one array row each.
@@ -405,11 +413,11 @@ def error_report(
     return table, ErrorReport(epsilon_sq, mean_square, variance_initial, *decomposition)
 
 
-def moments(state: QubitState, observable: DichotomicObservable) -> tuple[float, float]:
-    """<A^2> and the prior variance <A^2> - <A>^2."""
+def moments(state: QubitState, observable: DichotomicObservable) -> tuple[float, float, float]:
+    """<A>, <A^2> and the prior variance <A^2> - <A>^2."""
     mean = expectation(state, observable.op)
     mean_square = expectation(state, observable.op @ observable.op)
-    return mean_square, mean_square - mean * mean
+    return mean, mean_square, mean_square - mean * mean
 
 
 def ozawa_error(
@@ -425,7 +433,7 @@ def ozawa_error(
     residual mis-assignment.
     """
     terms = outcome_terms(state, povm, observable)
-    return error_report(terms, *moments(state, observable), assignments, nonnegative=True)[1]
+    return error_report(terms, *moments(state, observable)[1:], assignments, nonnegative=True)[1]
 
 
 def optimal_error(
@@ -438,7 +446,7 @@ def optimal_error(
     and they contribute nothing to the estimate variance.
     """
     terms = outcome_terms(state, povm, observable)
-    return error_report(terms, *moments(state, observable), nonnegative=True)
+    return error_report(terms, *moments(state, observable)[1:], nonnegative=True)
 
 
 def two_level_ozawa_error(

@@ -15,17 +15,18 @@ import functools
 import io
 import json
 import math
+import os
 import sys
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 
 import numpy as np
 
-from .algebra import expectation, make_linear_polarization, make_stokes
+from .algebra import make_linear_polarization, make_stokes
 from .analysis import (
     ReconstructionConfig,
     error_columns,
+    moments,
     quasi_entries,
     reconstruct_correlation,
     stack_terms,
@@ -34,16 +35,14 @@ from .analysis import (
 from .exceptions import SeqpolError
 from .harness import (
     DEFAULT_INPUT_ANGLE_DEG,
-    SWEEP_COLUMNS,
     SweepConfig,
-    estimate_grid,
+    Table,
     find_crossings,
-    monte_carlo_counts,
+    run_montecarlo,
     run_sweep,
 )
 from .instrument import (
     OUTCOMES,
-    SetupParams,
     THETA_MAX_DEG,
     V_HV_DEFAULT,
     V_PM_DEFAULT,
@@ -56,9 +55,6 @@ RECONSTRUCT_COLUMNS = [
 ]
 LGI_COLUMNS = ["theta_deg", *(f"q_{a}_{outcome}" for a in ("plus", "minus")
                               for outcome in ("pp", "pm", "mp", "mm")), "negativity"]
-
-# An output table: column name -> the column's cells, in output order.
-Table = dict[str, list]
 
 _COMMON_DEFAULTS = {
     "v_pm": V_PM_DEFAULT,
@@ -74,6 +70,7 @@ _COMMON_DEFAULTS = {
 _COMMAND_DEFAULTS = {"montecarlo": {"n_photons": 1_000_000, "seed": 12345},
                      "reconstruct": {"lam": 1.0}}
 _GRID_KEYS = ("theta_min", "theta_max", "steps")
+_MAX = sys.float_info.max
 
 
 class UsageError(SeqpolError):
@@ -148,7 +145,7 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
         values = json.loads(raw)
     except OSError as exc:
         raise UsageError(f"cannot read config file {path!r}: {exc}") from exc
-    except (json.JSONDecodeError, UnicodeDecodeError, RecursionError) as exc:
+    except (ValueError, RecursionError) as exc:  # bad JSON, bad UTF-8 or an over-long integer
         raise UsageError(f"config file {path!r} is not valid JSON: {exc}") from exc
     if not isinstance(values, dict):
         raise UsageError(f"config file {path!r} must hold a JSON object")
@@ -160,8 +157,8 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
 
 def _require_number(merged: dict, key: str, lo: float, hi: float) -> float:
     value = merged[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise UsageError(f"value for {_flag(key)} must be a number, got {value!r}")
+    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX:
+        raise UsageError(f"value for {_flag(key)} must be a finite number, got {value!r}")
     if not lo <= value <= hi:
         raise UsageError(f"value out of range for {_flag(key)}: {value!r} (allowed [{lo}, {hi}])")
     return float(value)
@@ -219,8 +216,12 @@ def parse_config(argv=None) -> RunConfig:
     if fmt not in ("csv", "json"):
         raise UsageError(f"value out of range for --format: {fmt!r} (allowed csv, json)")
     output = merged["output"]
-    if not isinstance(output, str) or not output:
-        raise UsageError(f"value for --output must be a non-empty path, got {output!r}")
+    if not isinstance(output, str) or not output or "\0" in output:
+        raise UsageError(f"value for --output must be a non-empty path without NUL, got {output!r}")
+    try:
+        os.fsencode(output)
+    except UnicodeEncodeError:
+        raise UsageError(f"value for --output cannot be encoded as a path: {output!r}") from None
 
     n_photons = seed = lam = None
     if command == "montecarlo":
@@ -245,24 +246,20 @@ def parse_config(argv=None) -> RunConfig:
     )
 
 
+def _sweep_config(config: RunConfig) -> SweepConfig:
+    return SweepConfig(config.theta_grid, config.v_pm, config.v_hv, config.input_angle_deg)
+
+
 def _sweep_table(config: RunConfig) -> Table:
-    rows = run_sweep(SweepConfig(config.theta_grid, config.v_pm, config.v_hv,
-                                 config.input_angle_deg))
-    return {key: list(map(itemgetter(key), rows)) for key in SWEEP_COLUMNS}
+    return run_sweep(_sweep_config(config))
 
 
 def _montecarlo_table(config: RunConfig) -> Table:
-    rows = estimate_grid([
-        monte_carlo_counts(SetupParams(theta, config.v_pm, config.v_hv), config.input_angle_deg,
-                           config.n_photons, config.seed + index)
-        for index, theta in enumerate(config.theta_grid)
-    ])
-    return {key: list(map(itemgetter(key), rows)) for key in SWEEP_COLUMNS}
+    return run_montecarlo(_sweep_config(config), config.n_photons, config.seed)
 
 
 def _crossings_table(config: RunConfig) -> Table:
-    crossings = find_crossings(SweepConfig(config.theta_grid, config.v_pm, config.v_hv,
-                                           config.input_angle_deg))
+    crossings = find_crossings(_sweep_config(config))
     return {"description": [c.description for c in crossings],
             "theta_deg": [c.theta_deg for c in crossings]}
 
@@ -273,8 +270,7 @@ def _reconstruct_table(config: RunConfig) -> Table:
     target = make_stokes("PM")
     reconstruction = ReconstructionConfig(config.lam)
     plus_state, minus_state = variation_states(psi, target, reconstruction)
-    mean_a = expectation(psi, target.op)
-    mean_a2 = expectation(psi, target.op @ target.op)
+    mean_a, mean_a2, _ = moments(psi, target)
     effects = effect_stack(config.theta_grid, config.v_pm, config.v_hv)
     p, c = stack_terms(psi, effects, target)
     reconstructed = reconstruct_correlation(stack_terms(plus_state, effects, target)[0].ravel(),

@@ -1,16 +1,16 @@
 """Strength sweeps, crossing-point searches, and Monte Carlo photon counting.
 
-A sweep row is a flat dict in ``SWEEP_COLUMNS`` order, with ``None`` for an
-unresolvable estimate.  Every table of rows comes from one step over arrays:
-the (P, c) pairs of N settings, shaped ``(N, 4)``, go through
-:func:`~seqpol.analysis.error_columns` once per strategy.  An analytic sweep
-takes the effects of its whole grid from one
-:func:`~seqpol.instrument.effect_stack` and its pairs from one
-:func:`~seqpol.analysis.stack_terms` product; the estimates of a Monte Carlo
-grid are one table of measured frequencies, one row per count record, and a
-bootstrap is the table of all its resamples.  Monte Carlo counting runs
-draw from per-run generators seeded by (seed, run index), which keeps
-concurrent execution deterministic and order-independent.
+A sweep is a :data:`Table` of columns in ``SWEEP_COLUMNS`` order, ``None`` for an
+unresolvable estimate, made in one step over arrays: the (P, c) pairs of N
+settings, shaped ``(N, 4)``, go through :func:`~seqpol.analysis.error_columns`
+once per strategy.  An analytic sweep, and the counts of a Monte Carlo grid,
+take the effects of the whole grid from one
+:func:`~seqpol.instrument.effect_stack`; counts are estimated as one table of
+measured frequencies, and a bootstrap is the table of all its resamples.
+:func:`analytic_row`, :func:`monte_carlo_counts` and
+:func:`estimate_from_counts` are one-point views of these steps.  Each counting
+run draws from its own generator seeded by (seed, run index), so a point's
+counts do not depend on the grid around it.
 """
 
 import math
@@ -21,11 +21,12 @@ import numpy as np
 
 from .algebra import make_linear_polarization, make_stokes
 from .analysis import (
-    SYMMETRY_TOL,
     OutcomeTerms,
+    calibrated_columns,
     error_columns,
     moments,
     stack_terms,
+    symmetric_confusion,
 )
 from .exceptions import InvalidInputError
 from .instrument import (
@@ -33,7 +34,7 @@ from .instrument import (
     SetupParams,
     V_HV_DEFAULT,
     V_PM_DEFAULT,
-    _require_theta,
+    _require_thetas,
     effect_stack,
 )
 
@@ -57,6 +58,9 @@ SWEEP_COLUMNS = [
     "eps_eigen", "eps_opt_m1", "eps_opt_m1m2",
 ]
 
+# An output table: column name -> the column's cells, in output order.
+Table = dict[str, list]
+
 CROSSING_SIGN_FLIP = "aopt[m1=-1] zero crossing"
 CROSSING_BRANCH_SWAP = "aopt[m1=-1 m2=+1] overtakes aopt[m1=+1 m2=+1]"
 
@@ -79,15 +83,13 @@ class SweepConfig:
         grid = tuple(float(t) for t in self.theta_grid)
         if not grid:
             raise InvalidInputError("theta_grid needs at least one strength setting")
-        SetupParams(grid[0], self.v_pm, self.v_hv)  # range validation, visibilities included
-        for theta in grid[1:]:
-            _require_theta(theta)
-        object.__setattr__(self, "theta_grid", grid)
+        SetupParams(grid[0], self.v_pm, self.v_hv)  # the first setting, then the visibilities
+        object.__setattr__(self, "theta_grid", tuple(_require_thetas(grid)))
 
 
-def _table_rows(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float,
-                nonnegative: bool, eps_eigen: np.ndarray | None = None) -> list[dict]:
-    """Sweep rows of N settings from their ``(N, 4)`` tables of P and c.
+def _estimate_table(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float,
+                    nonnegative: bool, eps_eigen: np.ndarray | None = None) -> Table:
+    """The sweep table of N settings from their ``(N, 4)`` tables of P and c.
 
     The errors belong to the eigenvalue assignment to m1 (``eps_eigen``
     where that is not NaN), the optimal estimate from m1 alone (P and c add
@@ -109,25 +111,25 @@ def _table_rows(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float
     cells = [np.asarray(column, dtype=float).tolist() for column in columns]
     for estimates in cells[6:12]:
         estimates[:] = [None if math.isnan(value) else value for value in estimates]
-    return [dict(zip(SWEEP_COLUMNS, row)) for row in zip(*cells)]
+    return dict(zip(SWEEP_COLUMNS, cells))
 
 
-def run_sweep(config: SweepConfig) -> list[dict]:
-    """One row per grid point, fully analytic and deterministic."""
+def run_sweep(config: SweepConfig) -> Table:
+    """The sweep table of the grid, fully analytic and deterministic."""
     state = make_linear_polarization(config.input_angle_deg)
     target = make_stokes("PM")
-    mean_square, _ = moments(state, target)
+    _, mean_square, _ = moments(state, target)
     p, c = stack_terms(state, effect_stack(config.theta_grid, config.v_pm, config.v_hv), target)
     # pm_error_probability at every grid point
     p_error = [0.5 * (1.0 - config.v_pm * math.sin(math.radians(4.0 * theta)))
                for theta in config.theta_grid]
-    return _table_rows(config.theta_grid, p_error, p, c, mean_square, nonnegative=True)
+    return _estimate_table(config.theta_grid, p_error, p, c, mean_square, nonnegative=True)
 
 
 def analytic_row(params: SetupParams, input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG) -> dict:
-    """One deterministic sweep row straight from the instrument model."""
-    config = SweepConfig((params.theta_deg,), params.v_pm, params.v_hv, input_angle_deg)
-    return run_sweep(config)[0]
+    """One deterministic sweep row straight from the instrument model: a one-point sweep."""
+    table = run_sweep(SweepConfig((params.theta_deg,), params.v_pm, params.v_hv, input_angle_deg))
+    return {key: cells[0] for key, cells in table.items()}
 
 
 @dataclass(frozen=True)
@@ -253,6 +255,21 @@ def _require_photons(n_photons: int) -> None:
         raise InvalidInputError(f"n_photons must lie in [1, {_MAX_PHOTONS}], got {n_photons!r}")
 
 
+def _draw_counts(theta_grid: Sequence[float], v_pm: float, v_hv: float, input_angle_deg: float,
+                 n_photons: int, seeds: Sequence[int]) -> list:
+    """The counts of :func:`monte_carlo_counts` at every grid point, point n with seeds[n],
+    as Python ints shaped (N, run, outcome)."""
+    _require_photons(n_photons)
+    if min(seeds) < 0:
+        raise InvalidInputError(f"rng_seed must be non-negative, got {min(seeds)!r}")
+    states = [make_linear_polarization(angle) for angle in (input_angle_deg, 45.0, -45.0)]
+    effects = effect_stack(theta_grid, v_pm, v_hv)
+    target = make_stokes("PM")
+    pvals = np.stack([stack_terms(state, effects, target)[0] for state in states], axis=1)
+    return [[np.random.default_rng((seed, run)).multinomial(int(n_photons), p / p.sum()).tolist()
+             for run, p in enumerate(point)] for seed, point in zip(seeds, pvals)]
+
+
 def monte_carlo_counts(
     setup: SetupParams,
     input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG,
@@ -263,37 +280,16 @@ def monte_carlo_counts(
 
     Run index 0 is the prepared input state, 1 and 2 are the P and M
     eigenstate calibrations; each run draws from its own generator seeded by
-    (rng_seed, run index).
+    (rng_seed, run index).  The one-point view of the grid draw.
     """
-    _require_photons(n_photons)
-    if rng_seed < 0:
-        raise InvalidInputError(f"rng_seed must be non-negative, got {rng_seed!r}")
-    states = (
-        make_linear_polarization(input_angle_deg),
-        make_linear_polarization(45.0),
-        make_linear_polarization(-45.0),
-    )
-    effects = effect_stack((setup.theta_deg,), setup.v_pm, setup.v_hv)
-    target = make_stokes("PM")
-    draws = []
-    for run_index, state in enumerate(states):
-        pvals = stack_terms(state, effects, target)[0][0]
-        rng = np.random.default_rng((int(rng_seed), run_index))
-        counts = rng.multinomial(int(n_photons), pvals / pvals.sum())
-        draws.append({outcome: int(k) for outcome, k in zip(OUTCOMES, counts)})
-    return CountRecord(
-        setup=setup,
-        input_angle_deg=float(input_angle_deg),
-        n_photons=int(n_photons),
-        rng_seed=int(rng_seed),
-        counts_psi=draws[0],
-        counts_plus=draws[1],
-        counts_minus=draws[2],
-    )
+    (runs,) = _draw_counts((setup.theta_deg,), setup.v_pm, setup.v_hv, input_angle_deg,
+                           n_photons, (int(rng_seed),))
+    return CountRecord(setup, float(input_angle_deg), int(n_photons), int(rng_seed),
+                       *(dict(zip(OUTCOMES, counts)) for counts in runs))
 
 
-def _count_rows(theta: list[float], input_angle_deg: float, n: int, counts) -> list[dict]:
-    """Sweep rows estimated from N count tables shaped (N, run, outcome), runs as in
+def _count_table(theta, input_angle_deg: float, n: int, counts) -> Table:
+    """The sweep table estimated from N count tables shaped (N, run, outcome), runs as in
     :meth:`CountRecord.runs`.  Counts stay Python numbers up to the division by
     ``n``, so totals and frequencies are exact as in a scalar loop.  A symmetric
     eigenstate confusion gives the eigenvalue-assignment error 4 p_error directly.
@@ -305,22 +301,21 @@ def _count_rows(theta: list[float], input_angle_deg: float, n: int, counts) -> l
         row, run = np.argwhere(off)[0]
         raise InvalidInputError(f"counts for run {('psi', 'plus', 'minus')[run]!r} sum to "
                                 f"{totals[row, run]!r}, expected n_photons={n}")
-    frequencies = (counts / n).astype(float)
-    psi, plus, minus = frequencies.transpose(1, 0, 2)
+    psi, plus, minus = (counts / n).astype(float).transpose(1, 0, 2)
     mean_a = math.sin(2.0 * math.radians(input_angle_deg))
-    weights = np.array([0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a)])
-    flips = np.stack([plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1]])
-    # the ranges checked by calibrated_terms and symmetric_error_probability
-    probabilities = np.concatenate([weights, frequencies.ravel(), flips.ravel()])
-    outside = probabilities[~((probabilities >= 0.0) & (probabilities <= 1.0))]
-    if outside.size:
-        raise InvalidInputError(f"estimated probability {float(outside[0])!r} is outside [0, 1]")
-    p_error = 0.5 * (flips[0] + flips[1])
-    symmetric = np.abs(flips[0] - flips[1]) < SYMMETRY_TOL
-    c = plus * weights[0] - minus * weights[1]
+    p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
+    p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
     # Sampling noise can push plug-in errors slightly negative: no sign check.
-    return _table_rows(theta, p_error, psi, c, 1.0, nonnegative=False,
-                       eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan))
+    return _estimate_table(theta, p_error, p, c, 1.0, nonnegative=False,
+                           eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan))
+
+
+def run_montecarlo(config: SweepConfig, n_photons: int, seed: int) -> Table:
+    """The sweep table estimated from simulated counts; grid point n draws with seed + n."""
+    grid, angle = config.theta_grid, config.input_angle_deg
+    counts = _draw_counts(grid, config.v_pm, config.v_hv, angle, n_photons,
+                          range(seed, seed + len(grid)))
+    return _count_table(grid, angle, n_photons, counts)
 
 
 def estimate_from_counts(record: CountRecord) -> dict:
@@ -329,19 +324,12 @@ def estimate_from_counts(record: CountRecord) -> dict:
     Eigenstate weights of the input come from the known preparation angle, as
     in a calibrated experiment; outcome and confusion probabilities come from
     the counts.  Outcomes with no counts are marked unresolvable and excluded
-    from the optimal-error sums without affecting the others.
+    from the optimal-error sums without affecting the others.  The one-row
+    view of the count table.
     """
-    return estimate_grid([record])[0]
-
-
-def estimate_grid(records: Sequence[CountRecord]) -> list[dict]:
-    """:func:`estimate_from_counts` of every record as one table, for records that share
-    their input angle and photon number, as the grid points of one ``montecarlo`` run do."""
-    angle, n = records[0].input_angle_deg, records[0].n_photons
-    if any((record.input_angle_deg, record.n_photons) != (angle, n) for record in records):
-        raise InvalidInputError("the records of a grid must share input angle and n_photons")
-    counts = [[[run[o] for o in OUTCOMES] for run in record.runs().values()] for record in records]
-    return _count_rows([record.setup.theta_deg for record in records], angle, n, counts)
+    counts = [[[run[o] for o in OUTCOMES] for run in record.runs().values()]]
+    table = _count_table([record.setup.theta_deg], record.input_angle_deg, record.n_photons, counts)
+    return {key: cells[0] for key, cells in table.items()}
 
 
 def bootstrap_standard_errors(
@@ -360,10 +348,6 @@ def bootstrap_standard_errors(
                    for counts in record.runs().values()]
     rng = np.random.default_rng((int(rng_seed),))
     draws = rng.multinomial(n, [f / f.sum() for f in frequencies], size=(int(n_resamples), 3))
-    rows = _count_rows([record.setup.theta_deg] * int(n_resamples), record.input_angle_deg, n,
-                       draws.tolist())
-    return {
-        key: float(np.std([row[key] for row in rows], ddof=1))
-        for key in SWEEP_COLUMNS
-        if all(row[key] is not None for row in rows)
-    }
+    table = _count_table([record.setup.theta_deg] * int(n_resamples), record.input_angle_deg, n,
+                         draws.tolist())
+    return {key: float(np.std(cells, ddof=1)) for key, cells in table.items() if None not in cells}

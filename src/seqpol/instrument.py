@@ -66,14 +66,15 @@ _M2_PARTNER = [1, 0, 3, 2]
 _SQRT2 = math.sqrt(2.0)
 
 
-def _require_theta(theta_deg: float) -> float:
-    if not isinstance(theta_deg, (int, float)) or not math.isfinite(theta_deg):
-        raise InvalidInputError(f"theta_deg must be finite, got {theta_deg!r}")
-    if not 0.0 <= theta_deg <= THETA_MAX_DEG:
-        raise InvalidInputError(
-            f"theta_deg must lie in [0, {THETA_MAX_DEG}] degrees, got {theta_deg!r}"
-        )
-    return float(theta_deg)
+def _require_thetas(theta_grid: Sequence[float]) -> list[float]:
+    """Strength settings as floats, checked as one array; the first bad one raises."""
+    values = np.array([t if isinstance(t, (int, float)) else math.nan for t in theta_grid], float)
+    bad = ~((values >= 0.0) & (values <= THETA_MAX_DEG))
+    if bad.any():
+        n = int(bad.argmax())
+        rule = f"lie in [0, {THETA_MAX_DEG}] degrees" if math.isfinite(values[n]) else "be finite"
+        raise InvalidInputError(f"theta_deg must {rule}, got {theta_grid[n]!r}")
+    return values.tolist()
 
 
 def _require_visibility(name: str, value: float) -> float:
@@ -103,7 +104,7 @@ class SetupParams:
     v_hv: float = V_HV_DEFAULT
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_deg", _require_theta(self.theta_deg))
+        object.__setattr__(self, "theta_deg", _require_thetas((self.theta_deg,))[0])
         for name in ("v_pm", "v_hv"):
             object.__setattr__(self, name, _require_visibility(name, getattr(self, name)))
 
@@ -144,8 +145,8 @@ def effect_stack(theta_grid: Sequence[float], v_pm: float, v_hv: float) -> np.nd
     v_pm = _require_visibility("v_pm", v_pm)
     v_hv = _require_visibility("v_hv", v_hv)
     amplitudes = []
-    for theta_deg in theta_grid:
-        two_theta = math.radians(2.0 * _require_theta(theta_deg))
+    for theta_deg in _require_thetas(theta_grid):
+        two_theta = math.radians(2.0 * theta_deg)
         c, s = math.cos(two_theta), math.sin(two_theta)
         # (m2 = +1): (c, m1 s); (m2 = -1): (s, m1 c), in OUTCOMES order
         amplitudes.append(((c, s), (s, c), (c, -s), (s, -c)))

@@ -1,3 +1,4 @@
+import contextlib
 import csv
 import io
 import itertools
@@ -17,7 +18,6 @@ from seqpol import SeqpolError, SetupParams, cli, harness, instrument
 from seqpol.cli import (
     LGI_COLUMNS,
     RECONSTRUCT_COLUMNS,
-    SWEEP_COLUMNS,
     UsageError,
     emit,
     main,
@@ -25,6 +25,7 @@ from seqpol.cli import (
     render_csv,
     render_json,
 )
+from seqpol.harness import SWEEP_COLUMNS
 
 EXPECTED_HEADER = (
     "theta_deg,p_error,p_pp,p_pm,p_mp,p_mm,aopt_m1_plus,aopt_m1_minus,"
@@ -409,17 +410,21 @@ class TestPovmBuilds:
             monkeypatch.setattr(module, "effect_stack", counting)
         return builds
 
-    @pytest.mark.parametrize("command", ["sweep", "lgi", "reconstruct"])
+    @pytest.mark.parametrize("command", ["sweep", "lgi", "reconstruct", "montecarlo"])
     def test_one_build_covers_the_grid_in_order(self, command, built, capsys):
         for grid in ([], ["--theta-min", "0.013", "--steps", "250"]):
             built.clear()
             assert main([command, "--input-angle", "10", *grid]) == 0
             assert built == [list(parse_config([command, *grid]).theta_grid)]
 
-    @pytest.mark.parametrize("command", ["montecarlo"])
-    def test_one_build_per_grid_point(self, command, built, capsys):
-        assert main([command, "--input-angle", "10", "--n-photons", "100"]) == 0
-        assert built == [[theta] for theta in parse_config([command]).theta_grid]
+    def test_montecarlo_builds_no_record_or_setup_per_point(self, monkeypatch, capsys):
+        made = []
+        for cls in (harness.CountRecord, harness.SetupParams):
+            monkeypatch.setattr(harness, cls.__name__,
+                                lambda *args, cls=cls: made.append(cls.__name__) or cls(*args))
+        assert main(["montecarlo", "--n-photons", "100"]) == 0
+        # the one setup is SweepConfig's check of the first setting and the visibilities
+        assert made == ["SetupParams"]
 
     def test_eigenstate_crossings_scan_the_grid_once(self, built, capsys):
         assert main(["crossings", "--input-angle", "45"]) == 0
@@ -495,7 +500,12 @@ def test_extreme_inputs_give_rows_or_one_error_line(argv, expected_status, capsy
     b"\xff\xfe" + b'{"steps": 3}',
     b"[" * 100_000,
     b'{"steps": ' + b"[" * 100_000 + b"]" * 100_000 + b"}",
-], ids=["utf-16-bom", "deep-list", "deep-value"])
+    b'{"output": "a\\u0000b"}',
+    b'{"output": "x\\ud800y"}',
+    b'{"input_angle": 1' + b"0" * 400 + b"}",
+    b'{"steps": ' + b"1" * 5000 + b"}",
+], ids=["utf-16-bom", "deep-list", "deep-value", "nul-in-output", "surrogate-in-output",
+        "angle-beyond-float", "integer-beyond-str-limit"])
 def test_bad_config_files_give_one_error_line(content, tmp_path, capsys):
     path = tmp_path / "run.json"
     path.write_bytes(content)
@@ -503,6 +513,89 @@ def test_bad_config_files_give_one_error_line(content, tmp_path, capsys):
     status = main(argv)
     assert_rows_or_one_error_line(argv, status, capsys.readouterr())
     assert status == 2
+
+
+# Any JSON value, with the numbers a float cannot hold and the non-finite
+# floats that Python's json reads and writes.
+json_values = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=8)
+    | st.sampled_from([10**400, -(10**400), 2**63, 1e308, -0.0]),
+    lambda children: st.lists(children, max_size=3)
+    | st.dictionaries(st.text(max_size=4), children, max_size=3),
+    max_leaves=6,
+)
+# Usable values of each key; a drawn config file also gives a few keys any
+# JSON value and sometimes holds an unknown key.  The grid is bounded at
+# 2,000 points; test_out_of_memory_gives_one_error_line covers larger ones in
+# a child process with a memory limit.
+CONFIG_VALUES = {
+    "steps": st.integers(max_value=2000),
+    "theta": st.floats(0.0, 22.5),
+    "theta_min": st.floats(0.0, 22.5),
+    "theta_max": st.floats(0.0, 22.5),
+    "v_pm": st.floats(0.0, 1.0),
+    "v_hv": st.floats(0.0, 1.0),
+    "input_angle": st.floats(-360.0, 360.0),
+    "n_photons": st.integers(min_value=1, max_value=10**6),
+    "seed": st.integers(min_value=0),
+    "lam": st.floats(-10.0, 10.0),
+    "format": st.sampled_from(["csv", "json"]),
+}
+OWN_COMMAND = {"n_photons": "montecarlo", "seed": "montecarlo", "lam": "reconstruct"}
+ROWS = "rows.out"  # stands for a file in the test's own directory
+
+
+@st.composite
+def config_files(draw):
+    """A command, the settings of its config file and how the file is encoded."""
+    command = draw(st.sampled_from(["sweep", "crossings", "montecarlo", "reconstruct", "lgi"]))
+    keys = {key: values for key, values in CONFIG_VALUES.items()
+            if OWN_COMMAND.get(key, command) == command}
+    values = draw(st.fixed_dictionaries({}, optional=keys))
+    if "theta" in values and draw(st.booleans()):  # else it conflicts with any grid key
+        values = {key: value for key, value in values.items() if key not in cli._GRID_KEYS}
+    for key in draw(st.lists(st.sampled_from(sorted(keys)), max_size=2)):
+        values[key] = draw(json_values.filter(
+            lambda value: key != "steps" or not isinstance(value, int) or value <= 2000))
+    if draw(st.sampled_from([False] * 9 + [True])):
+        values[draw(st.text(max_size=6))] = draw(json_values)
+    # never an arbitrary relative path: stdout, one file of the test, or no usable path
+    values["output"] = draw(st.one_of(
+        st.sampled_from(["-", ROWS]), st.sampled_from(["-", ROWS]),
+        st.builds("{}\0{}".format, st.text(max_size=3), st.text(max_size=3)),
+        st.builds("{}\ud800{}".format, st.text(max_size=3), st.text(max_size=3)),
+        json_values.filter(lambda value: not isinstance(value, str)),
+    ))
+    encoding = draw(st.sampled_from(["utf-8"] * 7 + ["utf-16", "latin-1 prefix", "bytes"]))
+    return command, values, encoding, draw(st.binary(max_size=20))
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=config_files())
+def test_any_config_file_gives_rows_or_one_error_line(case, tmp_path_factory):
+    command, values, encoding, noise = case
+    directory = tmp_path_factory.mktemp("config")
+    target = directory / ROWS
+    if values["output"] == ROWS:
+        values["output"] = str(target)
+    text = json.dumps(values)
+    content = {"utf-8": text.encode(), "utf-16": text.encode("utf-16"),
+               "latin-1 prefix": b"\xff" + text.encode(), "bytes": noise}[encoding]
+    (directory / "run.json").write_bytes(content)
+    argv = [command, "--config", str(directory / "run.json")]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        status = main(argv)
+    if status == 0:
+        assert err.getvalue() == "", argv
+        text = target.read_text(encoding="utf-8") if target.exists() else out.getvalue()
+        rows = (json.loads(text) if values.get("format") == "json"
+                else list(csv.DictReader(io.StringIO(text))))
+        assert len(rows) >= 1, argv
+    else:
+        assert status in (1, 2), argv
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
 
 
 @pytest.mark.parametrize("lam", ["1e4", "1e8", "1e-9"])

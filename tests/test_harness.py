@@ -3,6 +3,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqpol import (
     CountRecord,
@@ -21,13 +23,14 @@ from seqpol import (
 from seqpol.harness import (
     CROSSING_BRANCH_SWAP,
     CROSSING_SIGN_FLIP,
+    SWEEP_COLUMNS,
     analytic_row,
-    estimate_grid,
+    run_montecarlo,
 )
 from seqpol import harness
 from seqpol.instrument import OUTCOMES, V_HV_DEFAULT
 
-from conftest import SQRT2
+from conftest import SQRT2, THETA_EDGES, with_edges
 
 # chi-square 99% quantile for three degrees of freedom
 CHI2_99_DOF3 = 11.344866730144373
@@ -72,32 +75,31 @@ class TestSweepConfig:
 class TestRunSweep:
     def test_zero_strength_estimates_depend_only_on_m2(self):
         config = SweepConfig(theta_grid=(0.0,), v_pm=1.0, v_hv=1.0)
-        row = run_sweep(config)[0]
-        assert row["aopt_pp"] == pytest.approx(SQRT2 + 1, abs=1e-9)
-        assert row["aopt_mp"] == pytest.approx(SQRT2 + 1, abs=1e-9)
-        assert row["aopt_pm"] == pytest.approx(SQRT2 - 1, abs=1e-9)
-        assert row["aopt_mm"] == pytest.approx(SQRT2 - 1, abs=1e-9)
+        table = run_sweep(config)
+        assert table["aopt_pp"] == [pytest.approx(SQRT2 + 1, abs=1e-9)]
+        assert table["aopt_mp"] == [pytest.approx(SQRT2 + 1, abs=1e-9)]
+        assert table["aopt_pm"] == [pytest.approx(SQRT2 - 1, abs=1e-9)]
+        assert table["aopt_mm"] == [pytest.approx(SQRT2 - 1, abs=1e-9)]
 
     def test_perfect_instrument_reaches_zero_error(self):
-        rows = run_sweep(SweepConfig(v_pm=1.0, v_hv=1.0))
-        for row in rows:
-            assert abs(row["eps_opt_m1m2"]) <= 1e-9
+        table = run_sweep(SweepConfig(v_pm=1.0, v_hv=1.0))
+        for value in table["eps_opt_m1m2"]:
+            assert abs(value) <= 1e-9
 
     def test_calibrated_eigenvalue_error_endpoint(self):
-        row = run_sweep(SweepConfig(theta_grid=(22.5,), v_pm=0.93))[0]
-        assert row["eps_eigen"] == pytest.approx(0.14, abs=1e-9)
-        assert row["p_error"] == pytest.approx(0.035, abs=1e-12)
+        table = run_sweep(SweepConfig(theta_grid=(22.5,), v_pm=0.93))
+        assert table["eps_eigen"] == [pytest.approx(0.14, abs=1e-9)]
+        assert table["p_error"] == [pytest.approx(0.035, abs=1e-12)]
 
     @pytest.mark.parametrize("visibilities", [(1.0, 1.0), (0.93, 0.9976)])
     def test_strategy_ordering(self, visibilities):
-        rows = run_sweep(SweepConfig(v_pm=visibilities[0], v_hv=visibilities[1]))
-        for row in rows:
-            assert row["eps_opt_m1m2"] <= row["eps_opt_m1"] + 1e-9
-            assert row["eps_opt_m1"] <= row["eps_eigen"] + 1e-9
+        table = run_sweep(SweepConfig(v_pm=visibilities[0], v_hv=visibilities[1]))
+        for m1m2, m1, eigen in zip(table["eps_opt_m1m2"], table["eps_opt_m1"], table["eps_eigen"]):
+            assert m1m2 <= m1 + 1e-9
+            assert m1 <= eigen + 1e-9
 
     def test_marginal_error_monotone_for_perfect_instrument(self):
-        rows = run_sweep(SweepConfig(v_pm=1.0, v_hv=1.0))
-        values = [row["eps_opt_m1"] for row in rows]
+        values = run_sweep(SweepConfig(v_pm=1.0, v_hv=1.0))["eps_opt_m1"]
         for previous, current in zip(values, values[1:]):
             assert current <= previous + 1e-12
 
@@ -112,6 +114,7 @@ class TestRunSweep:
             "aopt_m1_plus", "aopt_m1_minus", "aopt_pp", "aopt_pm", "aopt_mp", "aopt_mm",
             "eps_eigen", "eps_opt_m1", "eps_opt_m1m2",
         ]
+        assert list(run_sweep(SweepConfig(theta_grid=(3.0, 12.0)))) == list(row)
 
 
 class TestFindCrossings:
@@ -311,19 +314,26 @@ class TestEstimateFromCounts:
             )
 
 
-class TestEstimateGrid:
-    @pytest.mark.parametrize("n_photons", [1, 1000])
-    def test_rows_equal_the_one_row_estimates(self, n_photons):
-        grid = [monte_carlo_counts(SetupParams(theta, 0.93, 1.0), 10.0, n_photons, rng_seed=i)
-                for i, theta in enumerate((0.0, 7.5, 22.5))]
-        assert estimate_grid(grid) == [estimate_from_counts(record) for record in grid]
-
-    def test_records_share_angle_and_photon_number(self):
-        first = monte_carlo_counts(SetupParams(5.0), 67.5, 100, rng_seed=1)
-        for angle, n in ((45.0, 100), (67.5, 101)):
-            other = monte_carlo_counts(SetupParams(6.0), angle, n, rng_seed=2)
-            with pytest.raises(InvalidInputError, match="share"):
-                estimate_grid([first, other])
+class TestRunMontecarlo:
+    @settings(max_examples=60, deadline=None)
+    @given(
+        thetas=st.lists(with_edges(THETA_EDGES, 0.0, 22.5), min_size=1, max_size=5),
+        n_photons=st.sampled_from([1, 10**4, 2**63 - 1]),
+        seed=st.one_of(st.just(0), st.integers(min_value=0, max_value=2**128)),
+        visibilities=st.sampled_from([(0.93, 0.9976), (1.0, 1.0), (0.0, 0.5)]),
+        angle=st.sampled_from([67.5, 10.0, 45.0, 0.0]),
+    )
+    def test_table_equals_the_one_point_views(self, thetas, n_photons, seed, visibilities,
+                                              angle):
+        config = SweepConfig(tuple(thetas), *visibilities, angle)
+        table = run_montecarlo(config, n_photons, seed)
+        assert list(table) == SWEEP_COLUMNS
+        rows = [estimate_from_counts(monte_carlo_counts(SetupParams(theta, *visibilities), angle,
+                                                        n_photons, seed + index))
+                for index, theta in enumerate(config.theta_grid)]
+        # cell for cell, to the last bit and with None in the same places
+        assert {key: list(map(repr, cells)) for key, cells in table.items()} == {
+            key: [repr(row[key]) for row in rows] for key in SWEEP_COLUMNS}
 
 
 class TestBootstrap:

@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from seqpol import (
     OUTCOMES,
     OutcomeDistribution,
     SetupParams,
+    SweepConfig,
     TAU_ALG,
     born_probability,
     make_linear_polarization,
@@ -19,6 +21,7 @@ from seqpol import (
     sequential_povm,
     validate_povm,
 )
+from seqpol.instrument import effect_stack
 
 from closed_forms import ideal_outcome_vector
 from conftest import SQRT2, m1_marginal, projector
@@ -43,6 +46,80 @@ class TestSetupParams:
         params = SetupParams(theta_deg=10.0)
         assert params.v_pm == 0.93
         assert params.v_hv == 0.9976
+
+
+FINITE = "theta_deg must be finite, got "
+RANGE = "theta_deg must lie in [0, 22.5] degrees, got "
+# Each strength with what SetupParams and effect_stack say about it: None
+# accepts it, a string is the whole error message.  SweepConfig turns every
+# setting into a float first, so it also accepts "1.0" and np.float32(1).
+THETA_INPUTS = [
+    (math.nan, FINITE + "nan"),
+    (math.inf, FINITE + "inf"),
+    (-math.inf, FINITE + "-inf"),
+    (-1e-300, RANGE + "-1e-300"),
+    (math.nextafter(22.5, math.inf), RANGE + "22.500000000000004"),
+    ("1.0", FINITE + "'1.0'"),
+    (np.float32(1), FINITE + "np.float32(1.0)"),
+    (True, None),
+    (0, None),
+    (0.0, None),
+    (22.5, None),
+    (np.float64(7.5), None),
+]
+
+
+class TestStrengthValidation:
+    """Which strengths each entry point accepts, and the error for the first bad one."""
+
+    @pytest.mark.parametrize("theta, error", THETA_INPUTS)
+    def test_setup_params(self, theta, error):
+        if error is None:
+            assert SetupParams(theta).theta_deg == float(theta)
+        else:
+            with pytest.raises(InvalidInputError, match="^" + re.escape(error) + "$"):
+                SetupParams(theta)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("theta, error", THETA_INPUTS)
+    def test_effect_stack(self, theta, error, position):
+        grid = [3.0, 4.0, 5.0]
+        grid[position] = theta
+        if error is None:
+            expected = effect_stack([float(t) for t in grid], 0.93, 0.9976)
+            assert np.array_equal(effect_stack(grid, 0.93, 0.9976), expected)
+        else:
+            with pytest.raises(InvalidInputError, match="^" + re.escape(error) + "$"):
+                effect_stack(grid, 0.93, 0.9976)
+
+    @pytest.mark.parametrize("position", [0, 1, 2])
+    @pytest.mark.parametrize("theta, error", THETA_INPUTS)
+    def test_sweep_config(self, theta, error, position):
+        grid = [3.0, 4.0, 5.0]
+        grid[position] = theta
+        if math.isfinite(float(theta)) and 0.0 <= float(theta) <= 22.5:
+            assert SweepConfig(theta_grid=grid).theta_grid == tuple(map(float, grid))
+        else:
+            with pytest.raises(InvalidInputError, match="^" + re.escape(error) + "$"):
+                SweepConfig(theta_grid=grid)
+
+    @pytest.mark.parametrize("entry", [
+        lambda grid: effect_stack(grid, 0.93, 0.9976),
+        lambda grid: SweepConfig(theta_grid=grid),
+    ])
+    def test_the_first_bad_setting_is_reported(self, entry):
+        grid = [1.0, 2.0, 30.0, math.nan, -1.0]
+        with pytest.raises(InvalidInputError, match=re.escape(RANGE + "30.0")):
+            entry(grid)
+        with pytest.raises(InvalidInputError, match=re.escape(FINITE + "nan")):
+            entry(grid[:2] + grid[3:])
+
+    @pytest.mark.parametrize("theta", ["abc", None])
+    def test_sweep_config_needs_a_float(self, theta):
+        with pytest.raises((ValueError, TypeError)):
+            SweepConfig(theta_grid=(1.0, theta))
+        with pytest.raises(InvalidInputError, match=re.escape(FINITE + repr(theta))):
+            effect_stack((1.0, theta), 0.93, 0.9976)
 
 
 class TestIdealOutcomeVectors:
