@@ -1,13 +1,14 @@
-"""Strength sweeps, crossing-point searches, and Monte Carlo photon counting.
+"""The tables of all five commands: sweeps, crossings, Monte Carlo runs,
+reconstruction checks and quasi-probabilities over measurement strength.
 
-A sweep is a :data:`Table` of columns in ``SWEEP_COLUMNS`` order, ``None`` for an
-unresolvable estimate, made in one step over arrays: the (P, c) pairs of N
-settings, shaped ``(N, 4)``, go through :func:`~seqpol.analysis.error_columns`
-once per strategy.  An analytic sweep, and the counts of a Monte Carlo grid,
-take the effects of the whole grid from one
-:func:`~seqpol.instrument.effect_stack`; counts are estimated as one table of
-measured frequencies, and a bootstrap is the table of all its resamples.
-:func:`analytic_row`, :func:`monte_carlo_counts` and
+Every table starts from one grid step: a single
+:func:`~seqpol.instrument.effect_stack` over the grid of a :class:`SweepConfig`
+(or over new bisection midpoints) gives the ``(N, 4)`` arrays P and c of each
+input state against the PM target.  A sweep is a :data:`Table` of columns in
+``SWEEP_COLUMNS`` order, ``None`` for an unresolvable estimate, made by
+:func:`~seqpol.analysis.error_columns` once per strategy; counts are estimated
+as one table of measured frequencies, and a bootstrap is the table of all its
+resamples.  :func:`analytic_row`, :func:`monte_carlo_counts` and
 :func:`estimate_from_counts` are one-point views of these steps.  Each counting
 run draws from its own generator seeded by (seed, run index), so a point's
 counts do not depend on the grid around it.
@@ -19,14 +20,17 @@ from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import make_linear_polarization, make_stokes
+from .algebra import QubitState, make_linear_polarization, make_stokes
 from .analysis import (
-    OutcomeTerms,
+    ReconstructionConfig,
     calibrated_columns,
     error_columns,
     moments,
+    quasi_entries,
+    reconstruct_correlation,
     stack_terms,
     symmetric_confusion,
+    variation_states,
 )
 from .exceptions import InvalidInputError
 from .instrument import (
@@ -57,12 +61,21 @@ SWEEP_COLUMNS = [
     "aopt_pp", "aopt_pm", "aopt_mp", "aopt_mm",
     "eps_eigen", "eps_opt_m1", "eps_opt_m1m2",
 ]
+RECONSTRUCT_COLUMNS = [
+    "theta_deg", "lam", "m1", "m2", "p_outcome",
+    "corr_reconstructed", "corr_direct", "abs_diff", "a_opt",
+]
+LGI_COLUMNS = ["theta_deg", *(f"q_{a}_{outcome}" for a in ("plus", "minus")
+                              for outcome in ("pp", "pm", "mp", "mm")), "negativity"]
 
 # An output table: column name -> the column's cells, in output order.
 Table = dict[str, list]
 
 CROSSING_SIGN_FLIP = "aopt[m1=-1] zero crossing"
 CROSSING_BRANCH_SWAP = "aopt[m1=-1 m2=+1] overtakes aopt[m1=+1 m2=+1]"
+
+# The target observable of every command.
+_PM = make_stokes("PM")
 
 
 def default_theta_grid() -> tuple[float, ...]:
@@ -80,7 +93,7 @@ class SweepConfig:
     input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG
 
     def __post_init__(self):
-        grid = tuple(float(t) for t in self.theta_grid)
+        grid = tuple(self.theta_grid)
         if not grid:
             raise InvalidInputError("theta_grid needs at least one strength setting")
         SetupParams(grid[0], self.v_pm, self.v_hv)  # the first setting, then the visibilities
@@ -114,12 +127,19 @@ def _estimate_table(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: f
     return dict(zip(SWEEP_COLUMNS, cells))
 
 
+def _grid_terms(config: SweepConfig, states: Sequence[QubitState],
+                thetas: Sequence[float] | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The ``(N, 4)`` arrays P and c of each state against the PM target, from one
+    effect stack over the grid of ``config`` or over ``thetas``."""
+    effects = effect_stack(config.theta_grid if thetas is None else thetas, config.v_pm, config.v_hv)
+    return [stack_terms(state, effects, _PM) for state in states]
+
+
 def run_sweep(config: SweepConfig) -> Table:
     """The sweep table of the grid, fully analytic and deterministic."""
     state = make_linear_polarization(config.input_angle_deg)
-    target = make_stokes("PM")
-    _, mean_square, _ = moments(state, target)
-    p, c = stack_terms(state, effect_stack(config.theta_grid, config.v_pm, config.v_hv), target)
+    _, mean_square, _ = moments(state, _PM)
+    ((p, c),) = _grid_terms(config, [state])
     # pm_error_probability at every grid point
     p_error = [0.5 * (1.0 - config.v_pm * math.sin(math.radians(4.0 * theta)))
                for theta in config.theta_grid]
@@ -153,17 +173,16 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float) -> f
     return 0.5 * (lo + hi)
 
 
-def _first_root(
-    points: list[tuple[float, float, float]], f: Callable[[float], float]
-) -> float | None:
-    """First bracketed sign change among grid ``points`` (theta, value, noise scale).
+def _first_root(thetas: list[float], values: list[float], scales: list[float],
+                f: Callable[[float], float]) -> float | None:
+    """First bracketed sign change of a curve sampled at ``thetas``, with noise ``scales``.
 
     Values within ``NOISE_EPS`` times their scale carry no sign and are
     skipped, so a curve that is zero up to rounding has no root.  The
     bracket is refined by bisection on ``f``.
     """
     last = None
-    for theta, value, scale in points:
+    for theta, value, scale in zip(thetas, values, scales):
         if abs(value) <= NOISE_EPS * scale:
             continue
         if last is not None and (value < 0.0) != (last[1] < 0.0):
@@ -184,43 +203,71 @@ def find_crossings(config: SweepConfig) -> list[Crossing]:
     shares its zeros with the estimate difference.
     """
     state = make_linear_polarization(config.input_angle_deg)
-    target = make_stokes("PM")
-    # One table per strength, shared by both curves: the grid in one stack,
-    # then each new bisection midpoint once.
-    tables: dict[float, OutcomeTerms] = {}
+    # Both curves' values per strength: the grid in one stack, then each new
+    # bisection midpoint once.
+    values: dict[float, list[float]] = {}
 
-    def evaluate(thetas) -> None:
-        p, c = stack_terms(state, effect_stack(thetas, config.v_pm, config.v_hv), target)
-        rows = zip(p.tolist(), c.tolist())
-        tables.update(zip(thetas, (dict(zip(OUTCOMES, zip(*row))) for row in rows)))
+    def curves(thetas) -> tuple[list, list]:
+        """Both curves over ``thetas`` and their noise scales, each as two lists."""
+        ((p, c),) = _grid_terms(config, [state], thetas)
+        curve = np.stack([c[:, 3], c[:, 2] * p[:, 0] - c[:, 0] * p[:, 2]])
+        values.update(zip(thetas, curve.T.tolist()))
+        gap_scale = np.abs(c[:, 2]) + p[:, 0] + np.abs(c[:, 0]) + p[:, 2]
+        return curve.tolist(), [[1.0] * len(c), gap_scale.tolist()]
 
-    def terms(theta: float) -> OutcomeTerms:
-        if theta not in tables:
-            evaluate((theta,))
-        return tables[theta]
-
-    def branch_numerator(t: OutcomeTerms) -> tuple[float, float]:
-        _, c_mm = t[(-1, -1)]
-        return c_mm, 1.0
-
-    def branch_swap_gap(t: OutcomeTerms) -> tuple[float, float]:
-        p_mp, c_mp = t[(-1, 1)]
-        p_pp, c_pp = t[(1, 1)]
-        return c_mp * p_pp - c_pp * p_mp, abs(c_mp) + p_pp + abs(c_pp) + p_mp
+    def value(theta: float, k: int) -> float:
+        if theta not in values:
+            curves((theta,))
+        return values[theta][k]
 
     # The swap gap vanishes identically at zero strength, where the noise
     # rule of _first_root skips it.
     grid = sorted(config.theta_grid)
-    evaluate(grid)
+    grid_values, scales = curves(grid)
+    return [Crossing(description, _first_root(grid, grid_values[k], scales[k],
+                                              lambda theta, k=k: value(theta, k)))
+            for k, description in enumerate((CROSSING_SIGN_FLIP, CROSSING_BRANCH_SWAP))]
 
-    def root(curve: Callable[[OutcomeTerms], tuple[float, float]]) -> float | None:
-        points = [(theta, *curve(tables[theta])) for theta in grid]
-        return _first_root(points, lambda theta: curve(terms(theta))[0])
 
-    return [
-        Crossing(CROSSING_SIGN_FLIP, root(branch_numerator)),
-        Crossing(CROSSING_BRANCH_SWAP, root(branch_swap_gap)),
-    ]
+def run_crossings(config: SweepConfig) -> Table:
+    """The table of :func:`find_crossings`: one row per crossing."""
+    crossings = find_crossings(config)
+    return {"description": [c.description for c in crossings],
+            "theta_deg": [c.theta_deg for c in crossings]}
+
+
+def run_reconstruct(config: SweepConfig, lam: float) -> Table:
+    """Reconstructed against direct correlations Re<psi|E_m A|psi> over the grid, with
+    ``lam`` the input-state variation; rows by strength, then by outcome."""
+    psi = make_linear_polarization(config.input_angle_deg)
+    reconstruction = ReconstructionConfig(lam)
+    plus_state, minus_state = variation_states(psi, _PM, reconstruction)
+    mean_a, mean_a2, _ = moments(psi, _PM)
+    (p, c), (p_plus, _), (p_minus, _) = _grid_terms(config, [psi, plus_state, minus_state])
+    reconstructed = reconstruct_correlation(p_plus.ravel(), p_minus.ravel(), mean_a, mean_a2,
+                                            reconstruction)
+    a_opt = error_columns(p, c, mean_a2).optimal.ravel().tolist()
+    return dict(zip(RECONSTRUCT_COLUMNS, (
+        np.repeat(config.theta_grid, len(OUTCOMES)).tolist(),
+        [lam] * p.size,
+        *np.tile(OUTCOMES, (len(p), 1)).T.tolist(),
+        p.ravel().tolist(),
+        reconstructed.tolist(),
+        c.ravel().tolist(),
+        np.abs(reconstructed - c.ravel()).tolist(),
+        [None if math.isnan(value) else value for value in a_opt],
+    )))
+
+
+def run_lgi(config: SweepConfig) -> Table:
+    """The quasi-probabilities of every outcome and both target eigenvalues over the
+    grid, with a negativity flag per strength."""
+    ((p, c),) = _grid_terms(config, [make_linear_polarization(config.input_angle_deg)])
+    entries, negativity = quasi_entries(p, c)
+    # (N, a, outcome) -> one column per (a, outcome), a = +1 first
+    quasi = entries.transpose(1, 2, 0).reshape(-1, len(p)).tolist()
+    return {"theta_deg": list(config.theta_grid), **dict(zip(LGI_COLUMNS[1:-1], quasi)),
+            "negativity": negativity.tolist()}
 
 
 @dataclass(frozen=True)
@@ -255,17 +302,14 @@ def _require_photons(n_photons: int) -> None:
         raise InvalidInputError(f"n_photons must lie in [1, {_MAX_PHOTONS}], got {n_photons!r}")
 
 
-def _draw_counts(theta_grid: Sequence[float], v_pm: float, v_hv: float, input_angle_deg: float,
-                 n_photons: int, seeds: Sequence[int]) -> list:
+def _draw_counts(config: SweepConfig, n_photons: int, seeds: Sequence[int]) -> list:
     """The counts of :func:`monte_carlo_counts` at every grid point, point n with seeds[n],
     as Python ints shaped (N, run, outcome)."""
     _require_photons(n_photons)
     if min(seeds) < 0:
         raise InvalidInputError(f"rng_seed must be non-negative, got {min(seeds)!r}")
-    states = [make_linear_polarization(angle) for angle in (input_angle_deg, 45.0, -45.0)]
-    effects = effect_stack(theta_grid, v_pm, v_hv)
-    target = make_stokes("PM")
-    pvals = np.stack([stack_terms(state, effects, target)[0] for state in states], axis=1)
+    states = [make_linear_polarization(angle) for angle in (config.input_angle_deg, 45.0, -45.0)]
+    pvals = np.stack([p for p, _ in _grid_terms(config, states)], axis=1)
     return [[np.random.default_rng((seed, run)).multinomial(int(n_photons), p / p.sum()).tolist()
              for run, p in enumerate(point)] for seed, point in zip(seeds, pvals)]
 
@@ -282,8 +326,8 @@ def monte_carlo_counts(
     eigenstate calibrations; each run draws from its own generator seeded by
     (rng_seed, run index).  The one-point view of the grid draw.
     """
-    (runs,) = _draw_counts((setup.theta_deg,), setup.v_pm, setup.v_hv, input_angle_deg,
-                           n_photons, (int(rng_seed),))
+    config = SweepConfig((setup.theta_deg,), setup.v_pm, setup.v_hv, input_angle_deg)
+    (runs,) = _draw_counts(config, n_photons, (int(rng_seed),))
     return CountRecord(setup, float(input_angle_deg), int(n_photons), int(rng_seed),
                        *(dict(zip(OUTCOMES, counts)) for counts in runs))
 
@@ -312,10 +356,9 @@ def _count_table(theta, input_angle_deg: float, n: int, counts) -> Table:
 
 def run_montecarlo(config: SweepConfig, n_photons: int, seed: int) -> Table:
     """The sweep table estimated from simulated counts; grid point n draws with seed + n."""
-    grid, angle = config.theta_grid, config.input_angle_deg
-    counts = _draw_counts(grid, config.v_pm, config.v_hv, angle, n_photons,
-                          range(seed, seed + len(grid)))
-    return _count_table(grid, angle, n_photons, counts)
+    grid = config.theta_grid
+    counts = _draw_counts(config, n_photons, range(seed, seed + len(grid)))
+    return _count_table(grid, config.input_angle_deg, n_photons, counts)
 
 
 def estimate_from_counts(record: CountRecord) -> dict:

@@ -6,6 +6,8 @@ grids.  The conditional averages follow from the ideal effects with a
 symmetric PM error probability and an HV readout that is fully random for P
 and M eigenstate inputs.  The error report is the outcome-by-outcome loop
 that ``seqpol.analysis.error_columns`` replaces for whole tables.  The
+crossing search reads both curves from a per-strength dict of outcome pairs,
+as ``seqpol.harness.find_crossings`` did before it read them from arrays.  The
 renderers write rows one cell at a time, as ``seqpol.cli`` did before it
 wrote its tables by columns.
 """
@@ -19,6 +21,7 @@ import numpy as np
 
 from seqpol import (
     OUTCOMES,
+    Crossing,
     ErrorReport,
     EstimateTable,
     P_FLOOR,
@@ -30,7 +33,17 @@ from seqpol import (
     SeqpolError,
     SetupParams,
     UnresolvableOutcomeError,
+    make_linear_polarization,
+    make_stokes,
 )
+from seqpol.analysis import stack_terms
+from seqpol.harness import (
+    BISECTION_TOL_DEG,
+    CROSSING_BRANCH_SWAP,
+    CROSSING_SIGN_FLIP,
+    NOISE_EPS,
+)
+from seqpol.instrument import effect_stack
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -156,6 +169,70 @@ def oracle_error_report(terms, mean_square, variance_initial, assignments=None):
         excluded_probability=excluded,
     )
     return EstimateTable(optimal), report
+
+
+def _oracle_bisect(f, lo: float, hi: float, f_lo: float) -> float:
+    while hi - lo > BISECTION_TOL_DEG:
+        mid = 0.5 * (lo + hi)
+        f_mid = f(mid)
+        if f_mid == 0.0:
+            return mid
+        if (f_mid < 0.0) == (f_lo < 0.0):
+            lo, f_lo = mid, f_mid
+        else:
+            hi = mid
+    return 0.5 * (lo + hi)
+
+
+def _oracle_first_root(points, f):
+    """First bracketed sign change among grid ``points`` (theta, value, noise scale)."""
+    last = None
+    for theta, value, scale in points:
+        if abs(value) <= NOISE_EPS * scale:
+            continue
+        if last is not None and (value < 0.0) != (last[1] < 0.0):
+            return _oracle_bisect(f, last[0], theta, last[1])
+        last = (theta, value)
+    return None
+
+
+def oracle_find_crossings(config):
+    """The crossings of ``seqpol.harness.find_crossings``, scanned over one dict of
+    (P, c) outcome pairs per strength."""
+    state = make_linear_polarization(config.input_angle_deg)
+    target = make_stokes("PM")
+    tables = {}
+
+    def evaluate(thetas) -> None:
+        p, c = stack_terms(state, effect_stack(thetas, config.v_pm, config.v_hv), target)
+        rows = zip(p.tolist(), c.tolist())
+        tables.update(zip(thetas, (dict(zip(OUTCOMES, zip(*row))) for row in rows)))
+
+    def terms(theta: float):
+        if theta not in tables:
+            evaluate((theta,))
+        return tables[theta]
+
+    def branch_numerator(t):
+        _, c_mm = t[(-1, -1)]
+        return c_mm, 1.0
+
+    def branch_swap_gap(t):
+        p_mp, c_mp = t[(-1, 1)]
+        p_pp, c_pp = t[(1, 1)]
+        return c_mp * p_pp - c_pp * p_mp, abs(c_mp) + p_pp + abs(c_pp) + p_mp
+
+    grid = sorted(config.theta_grid)
+    evaluate(grid)
+
+    def root(curve):
+        points = [(theta, *curve(tables[theta])) for theta in grid]
+        return _oracle_first_root(points, lambda theta: curve(terms(theta))[0])
+
+    return [
+        Crossing(CROSSING_SIGN_FLIP, root(branch_numerator)),
+        Crossing(CROSSING_BRANCH_SWAP, root(branch_swap_gap)),
+    ]
 
 
 def _cell(value) -> str:

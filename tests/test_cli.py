@@ -16,8 +16,6 @@ from hypothesis import strategies as st
 from closed_forms import oracle_render_csv, oracle_render_json
 from seqpol import SeqpolError, SetupParams, cli, harness, instrument
 from seqpol.cli import (
-    LGI_COLUMNS,
-    RECONSTRUCT_COLUMNS,
     UsageError,
     emit,
     main,
@@ -25,7 +23,7 @@ from seqpol.cli import (
     render_csv,
     render_json,
 )
-from seqpol.harness import SWEEP_COLUMNS
+from seqpol.harness import LGI_COLUMNS, RECONSTRUCT_COLUMNS, SWEEP_COLUMNS
 
 EXPECTED_HEADER = (
     "theta_deg,p_error,p_pp,p_pm,p_mp,p_mm,aopt_m1_plus,aopt_m1_minus,"
@@ -53,22 +51,22 @@ class TestParseConfig:
     def test_defaults(self):
         config = parse_config(["sweep"])
         assert config.command == "sweep"
-        assert len(config.theta_grid) == 46
-        assert config.theta_grid[0] == 0.0
-        assert config.theta_grid[-1] == 22.5
-        assert config.v_pm == 0.93
-        assert config.v_hv == 0.9976
-        assert config.input_angle_deg == 67.5
+        assert len(config.sweep.theta_grid) == 46
+        assert config.sweep.theta_grid[0] == 0.0
+        assert config.sweep.theta_grid[-1] == 22.5
+        assert config.sweep.v_pm == 0.93
+        assert config.sweep.v_hv == 0.9976
+        assert config.sweep.input_angle_deg == 67.5
         assert config.fmt == "csv"
 
     def test_explicit_grid(self):
         config = parse_config(["sweep", "--theta-min", "0", "--theta-max", "22.5", "--steps", "46"])
-        assert len(config.theta_grid) == 46
-        assert config.theta_grid[1] == pytest.approx(0.5)
+        assert len(config.sweep.theta_grid) == 46
+        assert config.sweep.theta_grid[1] == pytest.approx(0.5)
 
     def test_single_theta(self):
         config = parse_config(["lgi", "--theta", "12.5"])
-        assert config.theta_grid == (12.5,)
+        assert config.sweep.theta_grid == (12.5,)
 
     def test_theta_conflicts_with_grid(self):
         with pytest.raises(UsageError, match="--theta"):
@@ -84,10 +82,10 @@ class TestParseConfig:
         path = tmp_path / "run.json"
         path.write_text(json.dumps({"v_pm": 0.95, "steps": 3}), encoding="utf-8")
         config = parse_config(["sweep", "--config", str(path)])
-        assert config.v_pm == 0.95
-        assert len(config.theta_grid) == 3
+        assert config.sweep.v_pm == 0.95
+        assert len(config.sweep.theta_grid) == 3
         config = parse_config(["sweep", "--config", str(path), "--v-pm", "0.9"])
-        assert config.v_pm == 0.9
+        assert config.sweep.v_pm == 0.9
 
     def test_unknown_config_key_rejected(self, tmp_path):
         path = tmp_path / "run.json"
@@ -406,16 +404,20 @@ class TestPovmBuilds:
             return instrument_stack(theta_grid, v_pm, v_hv)
 
         instrument_stack = instrument.effect_stack
-        for module in (instrument, harness, cli):
+        for module in (instrument, harness):
             monkeypatch.setattr(module, "effect_stack", counting)
         return builds
+
+    def test_cli_builds_no_effects_or_terms(self):
+        for name in ("effect_stack", "stack_terms", "make_stokes"):
+            assert not hasattr(cli, name)
 
     @pytest.mark.parametrize("command", ["sweep", "lgi", "reconstruct", "montecarlo"])
     def test_one_build_covers_the_grid_in_order(self, command, built, capsys):
         for grid in ([], ["--theta-min", "0.013", "--steps", "250"]):
             built.clear()
             assert main([command, "--input-angle", "10", *grid]) == 0
-            assert built == [list(parse_config([command, *grid]).theta_grid)]
+            assert built == [list(parse_config([command, *grid]).sweep.theta_grid)]
 
     def test_montecarlo_builds_no_record_or_setup_per_point(self, monkeypatch, capsys):
         made = []
@@ -428,12 +430,12 @@ class TestPovmBuilds:
 
     def test_eigenstate_crossings_scan_the_grid_once(self, built, capsys):
         assert main(["crossings", "--input-angle", "45"]) == 0
-        assert built == [list(parse_config(["crossings"]).theta_grid)]
+        assert built == [list(parse_config(["crossings"]).sweep.theta_grid)]
 
     @pytest.mark.parametrize("flags", [[], ["--v-pm", "1", "--v-hv", "1"]])
     def test_crossings_build_at_grid_points_and_new_midpoints(self, flags, built, capsys):
         assert main(["crossings", *flags]) == 0
-        grid = list(parse_config(["crossings"]).theta_grid)
+        grid = list(parse_config(["crossings"]).sweep.theta_grid)
         assert built[0] == grid
         assert all(len(build) == 1 for build in built[1:])
         midpoints = [build[0] for build in built[1:]]

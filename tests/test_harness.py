@@ -30,7 +30,8 @@ from seqpol.harness import (
 from seqpol import harness
 from seqpol.instrument import OUTCOMES, V_HV_DEFAULT
 
-from conftest import SQRT2, THETA_EDGES, with_edges
+from closed_forms import oracle_find_crossings
+from conftest import SQRT2, THETA_EDGES, V_HV_EDGES, V_PM_EDGES, with_edges
 
 # chi-square 99% quantile for three degrees of freedom
 CHI2_99_DOF3 = 11.344866730144373
@@ -117,6 +118,12 @@ class TestRunSweep:
         assert list(run_sweep(SweepConfig(theta_grid=(3.0, 12.0)))) == list(row)
 
 
+def even_grid(a: float, b: float, steps: int) -> list[float]:
+    """``steps`` evenly spaced strengths from the smaller of a and b to the larger."""
+    lo, hi = sorted((a, b))
+    return [min(hi, lo + (hi - lo) * i / max(steps - 1, 1)) for i in range(steps)]
+
+
 class TestFindCrossings:
     def test_perfect_visibility_root_is_closed_form(self):
         crossings = dict_of(find_crossings(SweepConfig(v_pm=1.0, v_hv=1.0)))
@@ -151,6 +158,21 @@ class TestFindCrossings:
                 CROSSING_SIGN_FLIP: None,
                 CROSSING_BRANCH_SWAP: None,
             }, (v_pm, v_hv)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        thetas=st.one_of(
+            st.lists(with_edges(THETA_EDGES, 0.0, 22.5), min_size=1, max_size=60),
+            st.builds(even_grid, with_edges(THETA_EDGES, 0.0, 22.5),
+                      with_edges(THETA_EDGES, 0.0, 22.5), st.integers(1, 300)),
+        ),
+        v_pm=with_edges(V_PM_EDGES, 0.0, 1.0),
+        v_hv=with_edges(V_HV_EDGES, 0.0, 1.0),
+        angle=with_edges((0.0, 45.0, -45.0, 90.0, 10.0, 67.5), -180.0, 180.0),
+    )
+    def test_equals_the_dict_scan(self, thetas, v_pm, v_hv, angle):
+        config = SweepConfig(tuple(thetas), v_pm, v_hv, angle)
+        assert repr(find_crossings(config)) == repr(oracle_find_crossings(config))
 
 
 def dict_of(crossings):
