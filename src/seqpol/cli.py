@@ -184,7 +184,7 @@ def parse_config(argv=None) -> RunConfig:
             grid = (theta_min,)
         else:
             width = (theta_max - theta_min) / (steps - 1)
-            grid = tuple(theta_min + i * width for i in range(steps))
+            grid = tuple(min(theta_min + i * width, theta_max) for i in range(steps))
 
     fmt = merged["format"]
     if fmt not in ("csv", "json"):

@@ -4,11 +4,12 @@ reconstruction checks and quasi-probabilities over measurement strength.
 Every table starts from one grid step: a single
 :func:`~seqpol.instrument.effect_stack` over the grid of a :class:`SweepConfig`
 (or over new bisection midpoints) gives the ``(N, 4)`` arrays P and c of each
-input state against the PM target.  A sweep is a :data:`Table` of columns in
-``SWEEP_COLUMNS`` order, ``None`` for an unresolvable estimate, made by
-:func:`~seqpol.analysis.error_columns` once per strategy; counts are estimated
-as one table of measured frequencies, and a bootstrap is the table of all its
-resamples.  :func:`analytic_row`, :func:`monte_carlo_counts` and
+input state against the PM target.  One estimate step makes their
+``SWEEP_COLUMNS`` one ``(15, N)`` float array, NaN for an unresolvable estimate,
+with :func:`~seqpol.analysis.error_columns` once per strategy.  Counts stay
+int64 arrays from the draw to the estimate, a bootstrap takes one ``std`` over
+all its resamples, and only the :data:`Table` view holds lists (``None`` for
+NaN).  :func:`analytic_row`, :func:`monte_carlo_counts` and
 :func:`estimate_from_counts` are one-point views of these steps.  Each counting
 run draws from its own generator seeded by (seed, run index), so a point's
 counts do not depend on the grid around it.
@@ -74,8 +75,9 @@ Table = dict[str, list]
 CROSSING_SIGN_FLIP = "aopt[m1=-1] zero crossing"
 CROSSING_BRANCH_SWAP = "aopt[m1=-1 m2=+1] overtakes aopt[m1=+1 m2=+1]"
 
-# The target observable of every command.
+# The target observable of every command, and the eigenstates of the calibration runs.
 _PM = make_stokes("PM")
+_CALIBRATION = (make_linear_polarization(45.0), make_linear_polarization(-45.0))
 
 
 def default_theta_grid() -> tuple[float, ...]:
@@ -100,9 +102,10 @@ class SweepConfig:
         object.__setattr__(self, "theta_grid", tuple(_require_thetas(grid)))
 
 
-def _estimate_table(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float,
-                    nonnegative: bool, eps_eigen: np.ndarray | None = None) -> Table:
-    """The sweep table of N settings from their ``(N, 4)`` tables of P and c.
+def _estimate_columns(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float,
+                      nonnegative: bool, eps_eigen: np.ndarray | None = None) -> np.ndarray:
+    """The ``SWEEP_COLUMNS`` of N settings from their ``(N, 4)`` tables of P and c, as
+    one ``(15, N)`` float array with NaN for an unresolvable estimate.
 
     The errors belong to the eigenvalue assignment to m1 (``eps_eigen``
     where that is not NaN), the optimal estimate from m1 alone (P and c add
@@ -119,11 +122,14 @@ def _estimate_table(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: f
     total = 0.0 + p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]
     if not (np.isfinite(p) & (p >= 0.0)).all() or (np.abs(total - 1.0) > 1e-9).any():
         raise InvalidInputError("outcome probabilities must be finite, >= 0 and sum to one")
-    columns = [theta, p_error, *p.T, *opt_m1.optimal.T, *opt_m1m2.optimal.T,
-               eigen, opt_m1.epsilon_sq, opt_m1m2.epsilon_sq]
-    cells = [np.asarray(column, dtype=float).tolist() for column in columns]
-    for estimates in cells[6:12]:
-        estimates[:] = [None if math.isnan(value) else value for value in estimates]
+    return np.array([theta, p_error, *p.T, *opt_m1.optimal.T, *opt_m1m2.optimal.T,
+                     eigen, opt_m1.epsilon_sq, opt_m1m2.epsilon_sq], dtype=float)
+
+
+def _estimate_table(columns: np.ndarray) -> Table:
+    """The :data:`Table` view of estimate columns, ``None`` for an unresolvable estimate."""
+    cells = columns.tolist()
+    cells[6:12] = [[None if math.isnan(v) else v for v in estimates] for estimates in cells[6:12]]
     return dict(zip(SWEEP_COLUMNS, cells))
 
 
@@ -143,7 +149,7 @@ def run_sweep(config: SweepConfig) -> Table:
     # pm_error_probability at every grid point
     p_error = [0.5 * (1.0 - config.v_pm * math.sin(math.radians(4.0 * theta)))
                for theta in config.theta_grid]
-    return _estimate_table(config.theta_grid, p_error, p, c, mean_square, nonnegative=True)
+    return _estimate_table(_estimate_columns(config.theta_grid, p_error, p, c, mean_square, True))
 
 
 def analytic_row(params: SetupParams, input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG) -> dict:
@@ -302,16 +308,16 @@ def _require_photons(n_photons: int) -> None:
         raise InvalidInputError(f"n_photons must lie in [1, {_MAX_PHOTONS}], got {n_photons!r}")
 
 
-def _draw_counts(config: SweepConfig, n_photons: int, seeds: Sequence[int]) -> list:
+def _draw_counts(config: SweepConfig, n_photons: int, seeds: Sequence[int]) -> np.ndarray:
     """The counts of :func:`monte_carlo_counts` at every grid point, point n with seeds[n],
-    as Python ints shaped (N, run, outcome)."""
+    as an int64 array shaped (N, run, outcome)."""
     _require_photons(n_photons)
     if min(seeds) < 0:
         raise InvalidInputError(f"rng_seed must be non-negative, got {min(seeds)!r}")
-    states = [make_linear_polarization(angle) for angle in (config.input_angle_deg, 45.0, -45.0)]
+    states = [make_linear_polarization(config.input_angle_deg), *_CALIBRATION]
     pvals = np.stack([p for p, _ in _grid_terms(config, states)], axis=1)
-    return [[np.random.default_rng((seed, run)).multinomial(int(n_photons), p / p.sum()).tolist()
-             for run, p in enumerate(point)] for seed, point in zip(seeds, pvals)]
+    return np.array([[np.random.default_rng((seed, run)).multinomial(int(n_photons), p / p.sum())
+                      for run, p in enumerate(point)] for seed, point in zip(seeds, pvals)])
 
 
 def monte_carlo_counts(
@@ -327,38 +333,36 @@ def monte_carlo_counts(
     (rng_seed, run index).  The one-point view of the grid draw.
     """
     config = SweepConfig((setup.theta_deg,), setup.v_pm, setup.v_hv, input_angle_deg)
-    (runs,) = _draw_counts(config, n_photons, (int(rng_seed),))
+    (runs,) = _draw_counts(config, n_photons, (int(rng_seed),)).tolist()
     return CountRecord(setup, float(input_angle_deg), int(n_photons), int(rng_seed),
                        *(dict(zip(OUTCOMES, counts)) for counts in runs))
 
 
-def _count_table(theta, input_angle_deg: float, n: int, counts) -> Table:
-    """The sweep table estimated from N count tables shaped (N, run, outcome), runs as in
-    :meth:`CountRecord.runs`.  Counts stay Python numbers up to the division by
-    ``n``, so totals and frequencies are exact as in a scalar loop.  A symmetric
-    eigenstate confusion gives the eigenvalue-assignment error 4 p_error directly.
-    """
-    counts = np.asarray(counts, dtype=object)
-    totals = counts.sum(axis=2)
+def _count_columns(theta, input_angle_deg: float, n: int, counts: np.ndarray) -> np.ndarray:
+    """The estimate columns of N count tables shaped (N, run, outcome), runs as in
+    :meth:`CountRecord.runs`: int64 draws or a record's numbers as objects, divided
+    exactly as Python ``k / n``.  A symmetric eigenstate confusion gives eps_eigen 4 p_error."""
+    totals = counts.sum(axis=-1)
     off = np.abs(totals - n) > 1e-6 * max(1.0, n)
     if off.any():
         row, run = np.argwhere(off)[0]
         raise InvalidInputError(f"counts for run {('psi', 'plus', 'minus')[run]!r} sum to "
-                                f"{totals[row, run]!r}, expected n_photons={n}")
-    psi, plus, minus = (counts / n).astype(float).transpose(1, 0, 2)
+                                f"{totals.tolist()[row][run]!r}, expected n_photons={n}")
+    frequencies = np.array([k / n for k in counts.ravel().tolist()], dtype=float)
+    psi, plus, minus = frequencies.reshape(counts.shape).transpose(1, 0, 2)
     mean_a = math.sin(2.0 * math.radians(input_angle_deg))
     p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
     p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
     # Sampling noise can push plug-in errors slightly negative: no sign check.
-    return _estimate_table(theta, p_error, p, c, 1.0, nonnegative=False,
-                           eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan))
+    return _estimate_columns(theta, p_error, p, c, 1.0, nonnegative=False,
+                             eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan))
 
 
 def run_montecarlo(config: SweepConfig, n_photons: int, seed: int) -> Table:
     """The sweep table estimated from simulated counts; grid point n draws with seed + n."""
     grid = config.theta_grid
     counts = _draw_counts(config, n_photons, range(seed, seed + len(grid)))
-    return _count_table(grid, config.input_angle_deg, n_photons, counts)
+    return _estimate_table(_count_columns(grid, config.input_angle_deg, n_photons, counts))
 
 
 def estimate_from_counts(record: CountRecord) -> dict:
@@ -368,10 +372,13 @@ def estimate_from_counts(record: CountRecord) -> dict:
     in a calibrated experiment; outcome and confusion probabilities come from
     the counts.  Outcomes with no counts are marked unresolvable and excluded
     from the optimal-error sums without affecting the others.  The one-row
-    view of the count table.
+    view of the count table; int counts add in int64 where their totals fit.
     """
-    counts = [[[run[o] for o in OUTCOMES] for run in record.runs().values()]]
-    table = _count_table([record.setup.theta_deg], record.input_angle_deg, record.n_photons, counts)
+    runs = [[run[o] for o in OUTCOMES] for run in record.runs().values()]
+    exact = all(type(k) is int for run in runs for k in run) and max(map(sum, runs)) <= _MAX_PHOTONS
+    counts = np.array([runs], dtype=np.int64 if exact else object)
+    table = _estimate_table(_count_columns([record.setup.theta_deg], record.input_angle_deg,
+                                           record.n_photons, counts))
     return {key: cells[0] for key, cells in table.items()}
 
 
@@ -384,13 +391,15 @@ def bootstrap_standard_errors(
     resample in one draw, and estimated as one table; fields that come back
     unresolvable in any resample are omitted from the result.
     """
-    if n_resamples < 2:
-        raise InvalidInputError("need at least two resamples for a standard error")
+    for name, value, least in (("n_resamples", n_resamples, 2), ("rng_seed", rng_seed, 0)):
+        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+            raise InvalidInputError(f"{name} must be an integer of at least {least}, got {value!r}")
     n = record.n_photons
     frequencies = [np.array([counts[o] for o in OUTCOMES]) / sum(counts.values())
                    for counts in record.runs().values()]
     rng = np.random.default_rng((int(rng_seed),))
     draws = rng.multinomial(n, [f / f.sum() for f in frequencies], size=(int(n_resamples), 3))
-    table = _count_table([record.setup.theta_deg] * int(n_resamples), record.input_angle_deg, n,
-                         draws.tolist())
-    return {key: float(np.std(cells, ddof=1)) for key, cells in table.items() if None not in cells}
+    columns = _count_columns([record.setup.theta_deg] * int(n_resamples), record.input_angle_deg,
+                             n, draws)
+    errors = zip(SWEEP_COLUMNS, np.std(columns, axis=1, ddof=1).tolist(), np.isnan(columns).any(1))
+    return {key: error for key, error, unresolved in errors if not unresolved}

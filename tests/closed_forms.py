@@ -5,7 +5,9 @@ the loop form that ``seqpol.instrument.effect_stack`` replaces for whole
 grids.  The conditional averages follow from the ideal effects with a
 symmetric PM error probability and an HV readout that is fully random for P
 and M eigenstate inputs.  The error report is the outcome-by-outcome loop
-that ``seqpol.analysis.error_columns`` replaces for whole tables.  The
+that ``seqpol.analysis.error_columns`` replaces for whole tables.  The count
+table keeps every count a Python number in an object array, as
+``seqpol.harness`` did before it estimated int64 draws directly.  The
 crossing search reads both curves from a per-strength dict of outcome pairs,
 as ``seqpol.harness.find_crossings`` did before it read them from arrays.  The
 renderers write rows one cell at a time, as ``seqpol.cli`` did before it
@@ -36,12 +38,14 @@ from seqpol import (
     make_linear_polarization,
     make_stokes,
 )
-from seqpol.analysis import stack_terms
+from seqpol.analysis import calibrated_columns, stack_terms, symmetric_confusion
 from seqpol.harness import (
     BISECTION_TOL_DEG,
     CROSSING_BRANCH_SWAP,
     CROSSING_SIGN_FLIP,
     NOISE_EPS,
+    _estimate_columns,
+    _estimate_table,
 )
 from seqpol.instrument import effect_stack
 
@@ -132,6 +136,28 @@ def oracle_povm(params: SetupParams) -> PovmSet:
         op = keep * dephased[(m1, m2)] + swap * dephased[(m1, -m2)]
         elements.append(PovmElement(label=(m1, m2), op=op))
     return PovmSet(tuple(elements))
+
+
+def oracle_count_table(theta, input_angle_deg: float, n: int, counts):
+    """The sweep table estimated from N count tables shaped (N, run, outcome), runs as in
+    :meth:`CountRecord.runs`.  Counts stay Python numbers up to the division by
+    ``n``, so totals and frequencies are exact as in a scalar loop.  A symmetric
+    eigenstate confusion gives the eigenvalue-assignment error 4 p_error directly.
+    """
+    counts = np.asarray(counts, dtype=object)
+    totals = counts.sum(axis=2)
+    off = np.abs(totals - n) > 1e-6 * max(1.0, n)
+    if off.any():
+        row, run = np.argwhere(off)[0]
+        raise InvalidInputError(f"counts for run {('psi', 'plus', 'minus')[run]!r} sum to "
+                                f"{totals[row, run]!r}, expected n_photons={n}")
+    psi, plus, minus = (counts / n).astype(float).transpose(1, 0, 2)
+    mean_a = math.sin(2.0 * math.radians(input_angle_deg))
+    p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
+    p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
+    # Sampling noise can push plug-in errors slightly negative: no sign check.
+    return _estimate_table(_estimate_columns(theta, p_error, p, c, 1.0, nonnegative=False,
+                                             eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan)))
 
 
 def oracle_error_report(terms, mean_square, variance_initial, assignments=None):

@@ -9,6 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -63,6 +64,16 @@ class TestParseConfig:
         config = parse_config(["sweep", "--theta-min", "0", "--theta-max", "22.5", "--steps", "46"])
         assert len(config.sweep.theta_grid) == 46
         assert config.sweep.theta_grid[1] == pytest.approx(0.5)
+
+    @pytest.mark.parametrize("theta_min", [0, 0.013, 0.1, 1, 3.3, 7.7, 10, 22.4])
+    def test_grid_ends_at_theta_max(self, theta_min):
+        # theta_min + i * width can land an ulp above --theta-max (0 with 170 steps,
+        # 7.7 with 2,982); such points become --theta-max and all others keep their value.
+        for steps in range(2, 3000):
+            points = theta_min + np.arange(steps) * ((22.5 - theta_min) / (steps - 1))
+            if points.max() > 22.5 or steps % 101 == 0:
+                config = parse_config(["sweep", "--theta-min", str(theta_min), "--steps", str(steps)])
+                assert config.sweep.theta_grid == tuple(np.minimum(points, 22.5).tolist())
 
     def test_single_theta(self):
         config = parse_config(["lgi", "--theta", "12.5"])

@@ -384,3 +384,17 @@ class TestBootstrap:
         first = bootstrap_standard_errors(record, n_resamples=50, rng_seed=9)
         second = bootstrap_standard_errors(record, n_resamples=50, rng_seed=9)
         assert first == second
+
+    @pytest.mark.parametrize("name, value", [
+        ("n_resamples", 1), ("n_resamples", 2.7), ("n_resamples", 200.0), ("n_resamples", True),
+        ("n_resamples", "200"), ("rng_seed", -1), ("rng_seed", 1.5), ("rng_seed", None),
+    ])
+    def test_rejects_bad_arguments(self, name, value):
+        record = monte_carlo_counts(SetupParams(8.0), 67.5, 1_000, rng_seed=51)
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer of at least"):
+            bootstrap_standard_errors(record, **{name: value})
+
+    def test_numpy_integers_count_as_integers(self):
+        record = monte_carlo_counts(SetupParams(8.0), 67.5, 1_000, rng_seed=51)
+        assert bootstrap_standard_errors(record, np.int64(20), np.uint8(4)) == (
+            bootstrap_standard_errors(record, 20, 4))

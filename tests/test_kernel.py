@@ -6,7 +6,8 @@ scalar ``born_probability`` and ``real_cross_correlation`` is the reference.
 ``error_columns`` turns whole (P, c) tables into estimates and errors; the
 outcome-by-outcome ``oracle_error_report`` is its reference, and a
 bootstrap drawing its resamples one by one is the reference of
-``bootstrap_standard_errors``.
+``bootstrap_standard_errors``.  The count table of int64 draws and of
+hand-built records has the object-array ``oracle_count_table`` as reference.
 """
 
 import csv
@@ -36,12 +37,13 @@ from seqpol import (
     real_cross_correlation,
     validate_povm,
 )
+from seqpol import harness
 from seqpol.analysis import calibrated_terms, error_columns, moments, stack_terms
 from seqpol.cli import main
 from seqpol.harness import SWEEP_COLUMNS
 from seqpol.instrument import _check_effects, effect_stack
 
-from closed_forms import oracle_error_report, oracle_povm
+from closed_forms import oracle_count_table, oracle_error_report, oracle_povm
 from conftest import ANGLE_EDGES, THETA_EDGES, V_HV_EDGES, V_PM_EDGES, with_edges
 
 TOL = 1e-12
@@ -240,6 +242,86 @@ def test_bootstrap_equals_sequential_resampling(n_photons):
     batched = bootstrap_standard_errors(record, 40, rng_seed=3)
     assert batched == _sequential_bootstrap(record, 40, rng_seed=3)
     assert list(batched) == [key for key in SWEEP_COLUMNS if key in batched]
+
+
+# The photon numbers at the edges of exact float division: one photon, a typical
+# run, the first integer a double cannot hold, and the largest C long.
+PHOTON_EDGES = (1, 10**4, 2**53 + 1, 2**63 - 1)
+# The P and M eigenstates, where a calibration run equals the input run, and H and V.
+EIGENSTATE_EDGES = (45.0, -45.0, 0.0, 90.0)
+
+
+def _cells_or_error(table_step, *args):
+    """Every cell of a table by repr, or the message of the input error it raises."""
+    try:
+        return {key: list(map(repr, cells)) for key, cells in table_step(*args).items()}
+    except InvalidInputError as exc:
+        return str(exc)
+
+
+def _count_table(theta, angle, n, counts):
+    return harness._estimate_table(harness._count_columns(theta, angle, n, counts))
+
+
+class TestCountTable:
+    @settings(max_examples=120, deadline=None)
+    @given(
+        theta=with_edges(THETA_EDGES, 0.0, 22.5),
+        v_pm=with_edges((0.0, 1.0), 0.0, 1.0),
+        v_hv=with_edges((0.0, 1.0), 0.0, 1.0),
+        angle=with_edges(EIGENSTATE_EDGES, -180.0, 180.0),
+        n=st.one_of(st.sampled_from(PHOTON_EDGES), st.integers(1, 2**63 - 1)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_draws_match_the_oracle(self, theta, v_pm, v_hv, angle, n, seed):
+        # 200 resamples of the three runs: 2,400 counts, so that a frequency
+        # rounded apart from k / n shows even where that happens to 1 in 240.
+        effects = effect_stack((theta,), v_pm, v_hv)
+        runs = [stack_terms(make_linear_polarization(a), effects, PM)[0][0]
+                for a in (angle, 45.0, -45.0)]
+        draws = np.random.default_rng(seed).multinomial(n, [p / p.sum() for p in runs],
+                                                        size=(200, 3))
+        thetas = [theta] * len(draws)
+        assert draws.dtype == np.int64
+        assert _cells_or_error(_count_table, thetas, angle, n, draws) == _cells_or_error(
+            oracle_count_table, thetas, angle, n, draws.tolist())
+
+    @staticmethod
+    @st.composite
+    def _records(draw):
+        """Hand-built records: each run's total within the 1e-6 check of n, past it, or
+        2**64 past it, split into float counts or into Python ints, which pass the
+        int64 range near the top."""
+        n = draw(st.one_of(st.sampled_from(PHOTON_EDGES), st.integers(1, 2**63 - 1)))
+        slack = int(1e-6 * n)
+        runs = []
+        as_floats = draw(st.one_of(st.just((False,) * 3), st.tuples(*[st.booleans()] * 3)))
+        for as_float in as_floats:
+            total = n + draw(st.one_of(st.integers(-slack, slack), st.integers(-n, 2 * slack + 2),
+                                       st.just(2**64)))
+            weights = draw(st.lists(st.integers(0, 2**20), min_size=4, max_size=4))
+            if not any(weights):
+                weights[draw(st.integers(0, 3))] = 1
+            if as_float:
+                counts = [total * w / sum(weights) for w in weights]
+            else:
+                counts = [total * w // sum(weights) for w in weights]
+                counts[draw(st.integers(0, 3))] += total - sum(counts)
+            runs.append(dict(zip(OUTCOMES, counts)))
+        setup = SetupParams(draw(with_edges(THETA_EDGES, 0.0, 22.5)))
+        angle = draw(with_edges(EIGENSTATE_EDGES, -180.0, 180.0))
+        return CountRecord(setup, angle, n, 0, *runs)
+
+    @settings(max_examples=300, deadline=None)
+    @given(record=_records())
+    def test_records_match_the_oracle(self, record):
+        def one_row_table():
+            return {key: [value] for key, value in estimate_from_counts(record).items()}
+
+        counts = [[[run[o] for o in OUTCOMES] for run in record.runs().values()]]
+        assert _cells_or_error(one_row_table) == _cells_or_error(
+            oracle_count_table, [record.setup.theta_deg], record.input_angle_deg,
+            record.n_photons, counts)
 
 
 def _oracle_terms(theta, angle=67.5, v_pm=0.93, v_hv=0.9976):
