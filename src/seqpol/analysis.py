@@ -23,9 +23,9 @@ That possibility is exactly the failure of a joint positive probability for
 outcome and eigenvalue, which :func:`quasi_probability` makes visible.
 
 Every estimate and error is computed from one pair per outcome,
-(P(m), c_m = Re<psi|E_m A|psi>).  :func:`stack_terms` gives them as arrays
-over a stack of effects, for a whole strength grid at once, and
-:func:`outcome_terms` as a table for one POVM, both by the operator route;
+(P(m), c_m = Re<psi|E_m A|psi>).  :func:`stack_terms` gives them as float64
+arrays over a real stack of effects, for a whole strength grid at once, and
+:func:`outcome_terms` as a table for any one POVM from the scalar algebra;
 :func:`calibrated_terms` gives them from eigenstate-calibration
 probabilities.  One array step, :func:`error_columns`, turns ``(N, K)``
 tables of them into the optimal assignments and the squared errors of N
@@ -39,7 +39,8 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import TAU_ALG, DichotomicObservable, PovmSet, QubitState, expectation
+from .algebra import (TAU_ALG, DichotomicObservable, PovmSet, QubitState, born_probability,
+                      expectation, real_cross_correlation)
 from .exceptions import DegenerateBranchError, InvalidInputError, UnresolvableOutcomeError
 
 # Below this probability an outcome is reported as unresolvable instead of
@@ -269,22 +270,21 @@ OutcomeTerms = Mapping[Hashable, tuple[float, float]]
 def stack_terms(
     state: QubitState, effects: np.ndarray, observable: DichotomicObservable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays P(m) = Tr(rho E_m) and c_m = Re Tr(rho E_m A) over a stack of effects.
+    """Arrays P(m) = Tr(rho E_m) and c_m = Re Tr(rho E_m A) over a real stack of effects.
 
-    ``effects`` has shape ``(..., 2, 2)`` and both arrays have its leading
-    shape.  The products are those of :func:`seqpol.algebra.born_probability`
-    and :func:`seqpol.algebra.real_cross_correlation`, taken over the stack,
-    and the probabilities pass the same checks: a non-real value or one
-    outside [0, 1] by more than ``TAU_ALG`` is an error, and in-band values
-    are clamped to [0, 1].
+    ``effects`` is a float array of shape ``(..., 2, 2)`` and both arrays have
+    its leading shape.  With E and A real, P = Tr(Re(rho) E) and c = Tr(Re(rho) E A) for
+    any state, so the products run in float64; a complex stack or target is an error.
+    A probability outside [0, 1] by more than ``TAU_ALG`` is an error, as in
+    :func:`seqpol.algebra.born_probability`, and in-band values are clamped to [0, 1].
     """
-    weighted = state.density @ effects
+    if np.iscomplexobj(effects):
+        raise InvalidInputError("the effect stack is not real")
+    if np.any(observable.op.imag):
+        raise InvalidInputError("the target observable is not real")
+    weighted = state.density.real @ effects
     p = np.trace(weighted, axis1=-2, axis2=-1)
-    c = np.trace(weighted @ observable.op, axis1=-2, axis2=-1).real
-    non_real = np.abs(p.imag) >= TAU_ALG
-    if non_real.any():
-        raise InvalidInputError(f"outcome probability {complex(p[non_real][0])!r} is not real")
-    p = p.real
+    c = np.trace(weighted @ observable.op.real, axis1=-2, axis2=-1)
     out_of_range = (p < -TAU_ALG) | (p > 1.0 + TAU_ALG)
     if out_of_range.any():
         raise InvalidInputError(f"outcome probability {float(p[out_of_range][0])!r} is out of range")
@@ -295,9 +295,10 @@ def stack_terms(
 def outcome_terms(
     state: QubitState, povm: PovmSet, observable: DichotomicObservable
 ) -> dict[Hashable, tuple[float, float]]:
-    """Per-outcome pairs (P(m), Re<psi|E_m A|psi>) of one POVM, from :func:`stack_terms`."""
-    p, c = stack_terms(state, np.array([element.op for element in povm.elements]), observable)
-    return dict(zip(povm.labels(), zip(p.tolist(), c.tolist())))
+    """Per-outcome pairs (P(m), Re<psi|E_m A|psi>) of one POVM, complex ones included, by
+    :func:`seqpol.algebra.born_probability` and :func:`seqpol.algebra.real_cross_correlation`."""
+    return {e.label: (born_probability(state, e), real_cross_correlation(state, e, observable.op))
+            for e in povm}
 
 
 def calibrated_terms(

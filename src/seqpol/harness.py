@@ -290,7 +290,7 @@ class CountRecord:
     counts_minus: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
-        _require_photons(self.n_photons)
+        _require_integer("n_photons", self.n_photons, 1, _MAX_PHOTONS)
         for name in ("counts_psi", "counts_plus", "counts_minus"):
             counts = dict(getattr(self, name))
             if set(counts) != set(OUTCOMES):
@@ -303,20 +303,23 @@ class CountRecord:
         return {"psi": self.counts_psi, "plus": self.counts_plus, "minus": self.counts_minus}
 
 
-def _require_photons(n_photons: int) -> None:
-    if not 1 <= n_photons <= _MAX_PHOTONS:
-        raise InvalidInputError(f"n_photons must lie in [1, {_MAX_PHOTONS}], got {n_photons!r}")
+def _require_integer(name: str, value, least: int, most: float = math.inf) -> int:
+    """``value`` as an int, once it is an integer, not a bool, in [least, most]."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        raise InvalidInputError(f"{name} must be an integer of at least {least}, got {value!r}")
+    if value > most:
+        raise InvalidInputError(f"{name} must lie in [{least}, {most}], got {value!r}")
+    return int(value)
 
 
 def _draw_counts(config: SweepConfig, n_photons: int, seeds: Sequence[int]) -> np.ndarray:
     """The counts of :func:`monte_carlo_counts` at every grid point, point n with seeds[n],
     as an int64 array shaped (N, run, outcome)."""
-    _require_photons(n_photons)
-    if min(seeds) < 0:
-        raise InvalidInputError(f"rng_seed must be non-negative, got {min(seeds)!r}")
+    n_photons = _require_integer("n_photons", n_photons, 1, _MAX_PHOTONS)
+    seeds = [_require_integer("rng_seed", seed, 0) for seed in seeds]
     states = [make_linear_polarization(config.input_angle_deg), *_CALIBRATION]
     pvals = np.stack([p for p, _ in _grid_terms(config, states)], axis=1)
-    return np.array([[np.random.default_rng((seed, run)).multinomial(int(n_photons), p / p.sum())
+    return np.array([[np.random.default_rng((seed, run)).multinomial(n_photons, p / p.sum())
                       for run, p in enumerate(point)] for seed, point in zip(seeds, pvals)])
 
 
@@ -333,7 +336,7 @@ def monte_carlo_counts(
     (rng_seed, run index).  The one-point view of the grid draw.
     """
     config = SweepConfig((setup.theta_deg,), setup.v_pm, setup.v_hv, input_angle_deg)
-    (runs,) = _draw_counts(config, n_photons, (int(rng_seed),)).tolist()
+    (runs,) = _draw_counts(config, n_photons, (rng_seed,)).tolist()
     return CountRecord(setup, float(input_angle_deg), int(n_photons), int(rng_seed),
                        *(dict(zip(OUTCOMES, counts)) for counts in runs))
 
@@ -348,8 +351,9 @@ def _count_columns(theta, input_angle_deg: float, n: int, counts: np.ndarray) ->
         row, run = np.argwhere(off)[0]
         raise InvalidInputError(f"counts for run {('psi', 'plus', 'minus')[run]!r} sum to "
                                 f"{totals.tolist()[row][run]!r}, expected n_photons={n}")
-    frequencies = np.array([k / n for k in counts.ravel().tolist()], dtype=float)
-    psi, plus, minus = frequencies.reshape(counts.shape).transpose(1, 0, 2)
+    # Counts and n up to 2**53 are exact floats, so numpy's quotient is Python's k / n
+    frequencies = (counts if max(n, totals.max()) <= 2**53 else counts.astype(object)) / n
+    psi, plus, minus = frequencies.astype(float).transpose(1, 0, 2)
     mean_a = math.sin(2.0 * math.radians(input_angle_deg))
     p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
     p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
@@ -391,15 +395,14 @@ def bootstrap_standard_errors(
     resample in one draw, and estimated as one table; fields that come back
     unresolvable in any resample are omitted from the result.
     """
-    for name, value, least in (("n_resamples", n_resamples, 2), ("rng_seed", rng_seed, 0)):
-        if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-            raise InvalidInputError(f"{name} must be an integer of at least {least}, got {value!r}")
+    n_resamples = _require_integer("n_resamples", n_resamples, 2)
+    rng_seed = _require_integer("rng_seed", rng_seed, 0)
     n = record.n_photons
     frequencies = [np.array([counts[o] for o in OUTCOMES]) / sum(counts.values())
                    for counts in record.runs().values()]
-    rng = np.random.default_rng((int(rng_seed),))
-    draws = rng.multinomial(n, [f / f.sum() for f in frequencies], size=(int(n_resamples), 3))
-    columns = _count_columns([record.setup.theta_deg] * int(n_resamples), record.input_angle_deg,
+    rng = np.random.default_rng((rng_seed,))
+    draws = rng.multinomial(n, [f / f.sum() for f in frequencies], size=(n_resamples, 3))
+    columns = _count_columns([record.setup.theta_deg] * n_resamples, record.input_angle_deg,
                              n, draws)
     errors = zip(SWEEP_COLUMNS, np.std(columns, axis=1, ddof=1).tolist(), np.isnan(columns).any(1))
     return {key: error for key, error, unresolved in errors if not unresolved}

@@ -27,12 +27,12 @@ asymmetry of a real apparatus is assumed compensated upstream and is not
 modelled here, nor are dark counts or detector-efficiency asymmetries.
 
 The effects of a whole strength grid are built at once by
-:func:`effect_stack` as one array of shape ``(N, 4, 2, 2)``: grid point,
-outcome in ``OUTCOMES`` order, then the 2x2 operator in the HV basis.  The
-dephasing and the readout mixing act on every grid point in the same
-element-wise arithmetic, and hermiticity, positivity and completeness are
-checked for the whole stack together.  :func:`sequential_povm` is the
-one-point view of the stack, so every effect has this one construction path.
+:func:`effect_stack` as one float64 array of shape ``(N, 4, 2, 2)``: grid
+point, outcome in ``OUTCOMES`` order, then the real symmetric 2x2 operator in
+the HV basis.  The dephasing and the readout mixing act on every grid point
+in the same element-wise arithmetic, and symmetry, positivity and
+completeness are checked for the whole stack together.  :func:`sequential_povm`
+is the one-point view of the stack, so every effect has this one construction path.
 """
 
 import math
@@ -42,7 +42,6 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from .algebra import (
-    IDENTITY,
     TAU_ALG,
     TAU_HERM,
     TAU_POVM,
@@ -134,24 +133,23 @@ class OutcomeDistribution:
 
 
 def effect_stack(theta_grid: Sequence[float], v_pm: float, v_hv: float) -> np.ndarray:
-    """Read-only effects of the imperfect instrument over a strength grid.
+    """Read-only float64 effects of the imperfect instrument over a strength grid.
 
-    Entry ``[n, k]`` is the 2x2 effect of outcome ``OUTCOMES[k]`` at
-    ``theta_grid[n]``: the ideal rank-one projector, dephased in the HV basis
-    by ``v_pm`` and mixed across m2 by the readout confusion
-    ``(1 - v_hv) / 2``.  Both steps preserve completeness and positivity; the
-    stack is checked for both, and for hermiticity, before it is returned.
+    Entry ``[n, k]`` is the real symmetric 2x2 effect of outcome ``OUTCOMES[k]``
+    at ``theta_grid[n]``: the ideal rank-one projector, dephased in the HV basis
+    by ``v_pm`` and mixed across m2 by the readout confusion ``(1 - v_hv) / 2``.
+    Both steps preserve completeness and positivity; the stack is checked for
+    both, and for symmetry, before it is returned.
     """
     v_pm = _require_visibility("v_pm", v_pm)
     v_hv = _require_visibility("v_hv", v_hv)
-    amplitudes = []
-    for theta_deg in _require_thetas(theta_grid):
-        two_theta = math.radians(2.0 * theta_deg)
-        c, s = math.cos(two_theta), math.sin(two_theta)
-        # (m2 = +1): (c, m1 s); (m2 = -1): (s, m1 c), in OUTCOMES order
-        amplitudes.append(((c, s), (s, c), (c, -s), (s, -c)))
-    vectors = np.array(amplitudes, dtype=np.complex128).reshape(-1, 4, 2) / _SQRT2
-    dephased = vectors[..., :, None] * vectors.conj()[..., None, :]
+    two_theta = [math.radians(2.0 * theta_deg) for theta_deg in _require_thetas(theta_grid)]
+    c = np.array([math.cos(x) for x in two_theta])
+    s = np.array([math.sin(x) for x in two_theta])
+    # (m2 = +1): (c, m1 s); (m2 = -1): (s, m1 c), in OUTCOMES order.  Times the reciprocal,
+    # not / _SQRT2: numpy divides a complex array by a real one so, as the oracle did.
+    vectors = np.stack([c, s, s, c, c, -s, s, -c], axis=-1).reshape(-1, 4, 2) * (1.0 / _SQRT2)
+    dephased = vectors[..., :, None] * vectors[..., None, :]
     dephased[..., 0, 1] *= v_pm
     dephased[..., 1, 0] *= v_pm
     keep = (1.0 + v_hv) / 2.0
@@ -163,16 +161,16 @@ def effect_stack(theta_grid: Sequence[float], v_pm: float, v_hv: float) -> np.nd
 
 
 def _check_effects(effects: np.ndarray) -> None:
-    """The checks of :class:`PovmElement` and :func:`validate_povm`, over a stack."""
+    """The checks of :class:`PovmElement` and :func:`validate_povm` over a real stack."""
     if not np.all(np.isfinite(effects)):
         raise InvalidInputError("effect entries must be finite")
-    if np.any(np.abs(effects - effects.conj().swapaxes(-1, -2)) > TAU_HERM):
+    if np.any(np.abs(effects - effects.swapaxes(-1, -2)) > TAU_HERM):
         raise InvalidInputError("an effect is not Hermitian within tolerance")
-    diagonal = np.diagonal(effects, axis1=-2, axis2=-1).real
+    diagonal = np.diagonal(effects, axis1=-2, axis2=-1)
     radius = np.hypot(0.5 * (diagonal[..., 0] - diagonal[..., 1]), np.abs(effects[..., 0, 1]))
     if np.any(0.5 * (diagonal[..., 0] + diagonal[..., 1]) - radius < -TAU_ALG):
         raise InvalidInputError("an effect is not positive semidefinite")
-    if np.any(np.abs(effects.sum(axis=1) - IDENTITY) >= TAU_POVM):
+    if np.any(np.abs(effects.sum(axis=1) - np.eye(2)) >= TAU_POVM):
         raise InvalidInputError("the effects of a setting do not sum to the identity")
 
 
@@ -190,11 +188,9 @@ def pm_marginal_povm(params: SetupParams) -> PovmSet:
 
     Both elements commute with the PM Stokes operator for every setting.
     """
-    seq = sequential_povm(params)
-    summed = {m1: np.zeros((2, 2), dtype=np.complex128) for m1 in M1_VALUES}
-    for element in seq.elements:
-        summed[element.label[0]] = summed[element.label[0]] + element.op
-    return PovmSet(tuple(PovmElement(label=m1, op=summed[m1]) for m1 in M1_VALUES))
+    effects = effect_stack((params.theta_deg,), params.v_pm, params.v_hv)[0]
+    summed = 0.0 + effects[::2] + effects[1::2]  # over m2, added from zero in OUTCOMES order
+    return PovmSet(tuple(PovmElement(label=m1, op=op) for m1, op in zip(M1_VALUES, summed)))
 
 
 def pm_error_probability(params: SetupParams) -> float:

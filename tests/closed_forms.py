@@ -2,9 +2,11 @@
 
 The effects are built one outcome at a time from the ideal state vectors, in
 the loop form that ``seqpol.instrument.effect_stack`` replaces for whole
-grids.  The conditional averages follow from the ideal effects with a
-symmetric PM error probability and an HV readout that is fully random for P
-and M eigenstate inputs.  The error report is the outcome-by-outcome loop
+grids, and their (P, c) pairs are taken in complex128, as
+``seqpol.analysis.stack_terms`` took them before it ran in float64.  The
+conditional averages follow from the ideal effects with a symmetric PM error
+probability and an HV readout that is fully random for P and M eigenstate
+inputs.  The error report is the outcome-by-outcome loop
 that ``seqpol.analysis.error_columns`` replaces for whole tables.  The count
 table keeps every count a Python number in an object array, as
 ``seqpol.harness`` did before it estimated int64 draws directly.  The
@@ -38,7 +40,8 @@ from seqpol import (
     make_linear_polarization,
     make_stokes,
 )
-from seqpol.analysis import calibrated_columns, stack_terms, symmetric_confusion
+from seqpol.algebra import TAU_ALG
+from seqpol.analysis import calibrated_columns, symmetric_confusion
 from seqpol.harness import (
     BISECTION_TOL_DEG,
     CROSSING_BRANCH_SWAP,
@@ -47,7 +50,6 @@ from seqpol.harness import (
     _estimate_columns,
     _estimate_table,
 )
-from seqpol.instrument import effect_stack
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -138,6 +140,30 @@ def oracle_povm(params: SetupParams) -> PovmSet:
     return PovmSet(tuple(elements))
 
 
+def oracle_effect_stack(thetas, v_pm: float, v_hv: float) -> np.ndarray:
+    """The complex128 effect stack of a grid, one :func:`oracle_povm` per strength."""
+    return np.array([[e.op for e in oracle_povm(SetupParams(theta, v_pm, v_hv))]
+                     for theta in thetas])
+
+
+def oracle_stack_terms(state, effects, observable):
+    """Arrays P(m) = Tr(rho E_m) and c_m = Re Tr(rho E_m A) over a stack of effects, in
+    complex128: a non-real probability or one outside [0, 1] by more than ``TAU_ALG``
+    is an error, and in-band values are clamped to [0, 1]."""
+    weighted = state.density @ effects
+    p = np.trace(weighted, axis1=-2, axis2=-1)
+    c = np.trace(weighted @ observable.op, axis1=-2, axis2=-1).real
+    non_real = np.abs(p.imag) >= TAU_ALG
+    if non_real.any():
+        raise InvalidInputError(f"outcome probability {complex(p[non_real][0])!r} is not real")
+    p = p.real
+    out_of_range = (p < -TAU_ALG) | (p > 1.0 + TAU_ALG)
+    if out_of_range.any():
+        raise InvalidInputError(f"outcome probability {float(p[out_of_range][0])!r} is out of range")
+    # as min(1, max(0, p)), which also turns -0.0 into 0.0
+    return np.where(p <= 0.0, 0.0, np.minimum(p, 1.0)), c
+
+
 def oracle_count_table(theta, input_angle_deg: float, n: int, counts):
     """The sweep table estimated from N count tables shaped (N, run, outcome), runs as in
     :meth:`CountRecord.runs`.  Counts stay Python numbers up to the division by
@@ -224,13 +250,14 @@ def _oracle_first_root(points, f):
 
 def oracle_find_crossings(config):
     """The crossings of ``seqpol.harness.find_crossings``, scanned over one dict of
-    (P, c) outcome pairs per strength."""
+    (P, c) outcome pairs per strength from the oracle effects and products."""
     state = make_linear_polarization(config.input_angle_deg)
     target = make_stokes("PM")
     tables = {}
 
     def evaluate(thetas) -> None:
-        p, c = stack_terms(state, effect_stack(thetas, config.v_pm, config.v_hv), target)
+        p, c = oracle_stack_terms(state, oracle_effect_stack(thetas, config.v_pm, config.v_hv),
+                                  target)
         rows = zip(p.tolist(), c.tolist())
         tables.update(zip(thetas, (dict(zip(OUTCOMES, zip(*row))) for row in rows)))
 

@@ -243,6 +243,22 @@ class TestMonteCarloCounts:
         with pytest.raises(InvalidInputError):
             monte_carlo_counts(SetupParams(5.0), 67.5, 2**63, rng_seed=1)
 
+    @pytest.mark.parametrize("name, n_photons, rng_seed", [
+        ("n_photons", 10.9, 1), ("n_photons", 10.0, 1), ("n_photons", True, 1),
+        ("n_photons", "10", 1), ("rng_seed", 10, 2.7), ("rng_seed", 10, True),
+        ("rng_seed", 10, None),
+    ])
+    def test_rejects_non_integers(self, name, n_photons, rng_seed):
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer of at least"):
+            monte_carlo_counts(SetupParams(5.0), 67.5, n_photons, rng_seed=rng_seed)
+        with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer of at least"):
+            harness._draw_counts(SweepConfig((5.0, 6.0)), n_photons, [3, rng_seed])
+
+    def test_numpy_integers_draw_as_python_integers(self):
+        record = monte_carlo_counts(SetupParams(5.0), 67.5, np.int64(10), rng_seed=np.uint8(3))
+        assert record == monte_carlo_counts(SetupParams(5.0), 67.5, 10, rng_seed=3)
+        assert type(record.n_photons) is int and type(record.rng_seed) is int
+
     def test_largest_photon_number_draws(self):
         # numpy's multinomial takes a C long; 2**63 - 1 is its largest value
         record = monte_carlo_counts(SetupParams(5.0), 67.5, 2**63 - 1, rng_seed=1)
@@ -322,6 +338,11 @@ class TestEstimateFromCounts:
                 counts_plus=counts,
                 counts_minus=counts,
             )
+
+    def test_record_rejects_a_non_integer_photon_number(self):
+        counts = {o: 2.5 for o in OUTCOMES}
+        with pytest.raises(InvalidInputError, match="^n_photons must be an integer"):
+            CountRecord(SetupParams(5.0), 67.5, 10.0, 0, counts, counts, counts)
 
     def test_record_requires_full_outcome_coverage(self):
         with pytest.raises(InvalidInputError):

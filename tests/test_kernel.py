@@ -1,8 +1,9 @@
 """The batched array steps against their one-at-a-time oracles.
 
-``effect_stack`` builds every effect of a strength grid in one array and
-``stack_terms`` takes (P, c) over it; the loop-built ``oracle_povm`` with the
-scalar ``born_probability`` and ``real_cross_correlation`` is the reference.
+``effect_stack`` builds every effect of a strength grid in one float64 array
+and ``stack_terms`` takes (P, c) over it; the loop-built ``oracle_povm`` with the
+scalar ``born_probability`` and ``real_cross_correlation`` is the reference, and
+with the complex128 ``oracle_stack_terms`` it pins the real kernel bit for bit.
 ``error_columns`` turns whole (P, c) tables into estimates and errors; the
 outcome-by-outcome ``oracle_error_report`` is its reference, and a
 bootstrap drawing its resamples one by one is the reference of
@@ -22,6 +23,7 @@ from seqpol import (
     OUTCOMES,
     P_FLOOR,
     CountRecord,
+    DichotomicObservable,
     EstimateTable,
     InvalidInputError,
     PovmElement,
@@ -43,8 +45,22 @@ from seqpol.cli import main
 from seqpol.harness import SWEEP_COLUMNS
 from seqpol.instrument import _check_effects, effect_stack
 
-from closed_forms import oracle_count_table, oracle_error_report, oracle_povm
-from conftest import ANGLE_EDGES, THETA_EDGES, V_HV_EDGES, V_PM_EDGES, with_edges
+from closed_forms import (
+    oracle_count_table,
+    oracle_effect_stack,
+    oracle_error_report,
+    oracle_povm,
+    oracle_stack_terms,
+)
+from conftest import (
+    ANGLE_EDGES,
+    THETA_EDGES,
+    V_HV_EDGES,
+    V_PM_EDGES,
+    random_mixed_state,
+    random_pure_state,
+    with_edges,
+)
 
 TOL = 1e-12
 PM = make_stokes("PM")
@@ -97,7 +113,7 @@ class TestEffectStack:
         _check_effects(good)
         broken = {
             "finite": (1, 2, 0, 0, math.nan),
-            "Hermitian": (2, 0, 0, 1, 1e-9j),
+            "Hermitian": (2, 0, 0, 1, 1e-9),
             "positive": (1, 3, 1, 1, -1e-8),
             "identity": (0, 1, 0, 0, 1e-8),
         }
@@ -131,6 +147,53 @@ class TestStackTerms:
     def test_rejects_what_born_probability_rejects(self, psi_67_5, effect, message):
         with pytest.raises(InvalidInputError, match=message):
             stack_terms(psi_67_5, np.array([[effect]]), PM)
+
+    def test_rejects_a_complex_stack_or_target(self, psi_67_5):
+        # even a complex stack with zero imaginary parts: the kernel runs in float64
+        effects = effect_stack((3.0,), 0.93, 0.9976)
+        circular = DichotomicObservable.from_operator([[0.0, -1j], [1j, 0.0]])
+        with pytest.raises(InvalidInputError, match="the effect stack is not real"):
+            stack_terms(psi_67_5, effects.astype(complex), PM)
+        with pytest.raises(InvalidInputError, match="the target observable is not real"):
+            stack_terms(psi_67_5, effects, circular)
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        thetas=st.lists(with_edges(THETA_EDGES, 0.0, 22.5), min_size=1, max_size=5),
+        v_pm=with_edges((0.0, 1.0), 0.0, 1.0),
+        v_hv=with_edges((0.0, 1.0), 0.0, 1.0),
+        kind=st.sampled_from(("pure", "mixed", "linear")),
+        seed=st.integers(0, 2**32 - 1),
+        angle=with_edges(ANGLE_EDGES, -180.0, 180.0),
+        axis=st.sampled_from(("HV", "PM")),
+    )
+    def test_equals_the_complex_oracle(self, thetas, v_pm, v_hv, kind, seed, angle, axis):
+        # The stack equals the oracle's in value (complex products may flip the
+        # sign of a zero entry); the pairs agree by repr, which tells -0.0 from
+        # 0.0 and round-trips every float: bit for bit.
+        state = {"pure": random_pure_state, "mixed": random_mixed_state,
+                 "linear": lambda _: make_linear_polarization(angle)}[kind](
+                     np.random.default_rng(seed))
+        effects = effect_stack(thetas, v_pm, v_hv)
+        oracle = oracle_effect_stack(thetas, v_pm, v_hv)
+        assert effects.dtype == np.float64 and not oracle.imag.any()
+        assert np.array_equal(effects, oracle.real)
+        target = make_stokes(axis)
+        assert repr([x.tolist() for x in stack_terms(state, effects, target)]) == repr(
+            [x.tolist() for x in oracle_stack_terms(state, oracle, target)])
+
+    @pytest.mark.parametrize("argv", [
+        ["montecarlo", "--n-photons", "1"],
+        ["montecarlo", "--n-photons", "1", "--v-pm", "0", "--v-hv", "1", "--input-angle", "0"],
+    ])
+    def test_one_photon_rows_equal_the_complex_oracle(self, argv, monkeypatch, capsys):
+        assert main(argv) == 0
+        rows = capsys.readouterr().out
+        assert len(rows.splitlines()) == 47
+        monkeypatch.setattr(harness, "effect_stack", oracle_effect_stack)
+        monkeypatch.setattr(harness, "stack_terms", oracle_stack_terms)
+        assert main(argv) == 0
+        assert capsys.readouterr().out == rows
 
 
 EIGENVALUES = EstimateTable({1: 1.0, -1: -1.0})
@@ -261,6 +324,29 @@ def _cells_or_error(table_step, *args):
 
 def _count_table(theta, angle, n, counts):
     return harness._estimate_table(harness._count_columns(theta, angle, n, counts))
+
+
+@pytest.mark.parametrize("n", [1, 10**6, 2**53, 2**53 + 1])
+def test_count_division_equals_the_oracle(n):
+    # numpy divides up to 2**53, where counts and n are exact floats; Python above
+    effects = effect_stack((8.0,), 0.93, 0.9976)
+    runs = [stack_terms(make_linear_polarization(a), effects, PM)[0][0]
+            for a in (67.5, 45.0, -45.0)]
+    draws = np.random.default_rng(n).multinomial(n, [p / p.sum() for p in runs], size=(200, 3))
+    thetas = [8.0] * len(draws)
+    assert draws.dtype == np.int64
+    assert _cells_or_error(_count_table, thetas, 67.5, n, draws) == _cells_or_error(
+        oracle_count_table, thetas, 67.5, n, draws.tolist())
+
+
+def test_count_past_2_53_divides_as_python():
+    # n is an exact float but the count 2**53 + 3, within the 1e-6 check of n, is
+    # not: as floats the frequency reads 1.0000000000000009, as k / n ...07
+    n = 2**53 - 3
+    counts = np.array([[[n + 6, 0, 0, 0], [n - 5, 2, 2, 1], [n - 5, 2, 2, 1]]])
+    message = _cells_or_error(_count_table, [8.0], 67.5, n, counts)
+    assert message == _cells_or_error(oracle_count_table, [8.0], 67.5, n, counts.tolist())
+    assert message == "P(m) must be a probability in [0, 1], got 1.0000000000000007"
 
 
 class TestCountTable:
