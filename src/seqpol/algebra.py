@@ -46,8 +46,8 @@ def as_operator(entries) -> np.ndarray:
     return _frozen(op)
 
 
-def require_hermitian(op: np.ndarray, tol: float = TAU_HERM) -> np.ndarray:
-    if not float(np.max(np.abs(op - op.conj().T))) <= tol:
+def require_hermitian(op: np.ndarray) -> np.ndarray:
+    if not float(np.max(np.abs(op - op.conj().T))) <= TAU_HERM:
         raise InvalidInputError("operator is not Hermitian within tolerance")
     return op
 
@@ -76,7 +76,7 @@ class QubitState:
 
     def __post_init__(self):
         rho = as_operator(self.density)
-        require_hermitian(rho, TAU_HERM)
+        require_hermitian(rho)
         if abs(np.trace(rho).real - 1.0) > TAU_ALG:
             raise InvalidInputError("density matrix must have unit trace")
         if hermitian_eigenvalues(rho)[0] < -TAU_ALG:
@@ -157,7 +157,7 @@ class PovmElement:
 
     def __post_init__(self):
         op = as_operator(self.op)
-        require_hermitian(op, TAU_HERM)
+        require_hermitian(op)
         if hermitian_eigenvalues(op)[0] < -TAU_ALG:
             raise InvalidInputError(
                 f"effect for outcome {self.label!r} must be positive semidefinite"
@@ -190,9 +190,6 @@ class PovmSet:
 
     def __iter__(self) -> Iterator[PovmElement]:
         return iter(self.elements)
-
-    def __len__(self) -> int:
-        return len(self.elements)
 
 
 @dataclass(frozen=True)

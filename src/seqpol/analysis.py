@@ -175,27 +175,25 @@ def two_level_conditional_average(
     return conditional_average(terms[outcome][1], terms[outcome][0], outcome=outcome)
 
 
-def symmetric_error_probability(
-    p_flip_plus: float, p_flip_minus: float, tol: float = SYMMETRY_TOL
-) -> float | None:
+def symmetric_error_probability(p_flip_plus: float, p_flip_minus: float) -> float | None:
     """The single error probability if eigenstate confusion is symmetric.
 
     ``p_flip_plus`` is the probability of outcome -1 for a +1 eigenstate input
     and ``p_flip_minus`` the probability of +1 for a -1 eigenstate.  Returns
-    ``None`` when they differ by more than ``tol``, in which case the general
-    probability-based error evaluation must be used instead.  The one-point
-    view of :func:`symmetric_confusion`.
+    ``None`` when they differ by ``SYMMETRY_TOL`` or more, in which case the
+    general probability-based error evaluation must be used instead.  The
+    one-point view of :func:`symmetric_confusion`.
     """
-    p_error, symmetric = symmetric_confusion(p_flip_plus, p_flip_minus, tol)
+    p_error, symmetric = symmetric_confusion(p_flip_plus, p_flip_minus)
     return float(p_error) if symmetric else None
 
 
-def symmetric_confusion(p_flip_plus, p_flip_minus, tol: float = SYMMETRY_TOL):
+def symmetric_confusion(p_flip_plus, p_flip_minus):
     """Mean error probability 0.5 (p_flip_plus + p_flip_minus), and whether the two
-    flips lie within ``tol`` of each other, over numbers or float arrays."""
+    flips lie within ``SYMMETRY_TOL`` of each other, over numbers or float arrays."""
     p_flip_plus = _require_probability(p_flip_plus, "p_flip_plus")
     p_flip_minus = _require_probability(p_flip_minus, "p_flip_minus")
-    return 0.5 * (p_flip_plus + p_flip_minus), np.abs(p_flip_plus - p_flip_minus) < tol
+    return 0.5 * (p_flip_plus + p_flip_minus), np.abs(p_flip_plus - p_flip_minus) < SYMMETRY_TOL
 
 
 @dataclass(frozen=True)

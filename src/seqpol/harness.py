@@ -12,7 +12,9 @@ all its resamples, and only the :data:`Table` view holds lists (``None`` for
 NaN).  :func:`analytic_row`, :func:`monte_carlo_counts` and
 :func:`estimate_from_counts` are one-point views of these steps.  Each counting
 run draws from its own generator seeded by (seed, run index), so a point's
-counts do not depend on the grid around it.
+counts do not depend on the grid around it.  Draws sum to ``n_photons`` by
+construction and a :class:`CountRecord` is checked once, when it is built, so
+the estimate step checks no totals.
 """
 
 import math
@@ -290,7 +292,7 @@ class CountRecord:
     counts_minus: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
-        _require_integer("n_photons", self.n_photons, 1, _MAX_PHOTONS)
+        n = _require_integer("n_photons", self.n_photons, 1, _MAX_PHOTONS)
         for name in ("counts_psi", "counts_plus", "counts_minus"):
             counts = dict(getattr(self, name))
             if set(counts) != set(OUTCOMES):
@@ -298,6 +300,12 @@ class CountRecord:
             if any(not math.isfinite(v) or v < 0 for v in counts.values()):
                 raise InvalidInputError(f"{name} must be non-negative and finite")
             object.__setattr__(self, name, counts)
+        for run, counts in self.runs().items():
+            # in outcome order as Python numbers, so int totals are exact at any size
+            total = np.array([counts[o] for o in OUTCOMES], dtype=object).sum()
+            if abs(total - n) > 1e-6 * max(1.0, n):
+                raise InvalidInputError(f"counts for run {run!r} sum to {total!r}, "
+                                        f"expected n_photons={n}")
 
     def runs(self) -> dict[str, Mapping[tuple[int, int], float]]:
         return {"psi": self.counts_psi, "plus": self.counts_plus, "minus": self.counts_minus}
@@ -312,23 +320,19 @@ def _require_integer(name: str, value, least: int, most: float = math.inf) -> in
     return int(value)
 
 
-def _draw_counts(config: SweepConfig, n_photons: int, seeds: Sequence[int]) -> np.ndarray:
-    """The counts of :func:`monte_carlo_counts` at every grid point, point n with seeds[n],
+def _draw_counts(config: SweepConfig, n_photons: int, seed: int) -> np.ndarray:
+    """The counts of :func:`monte_carlo_counts` at every grid point, point n with seed + n,
     as an int64 array shaped (N, run, outcome)."""
     n_photons = _require_integer("n_photons", n_photons, 1, _MAX_PHOTONS)
-    seeds = [_require_integer("rng_seed", seed, 0) for seed in seeds]
+    seed = _require_integer("rng_seed", seed, 0)
     states = [make_linear_polarization(config.input_angle_deg), *_CALIBRATION]
     pvals = np.stack([p for p, _ in _grid_terms(config, states)], axis=1)
-    return np.array([[np.random.default_rng((seed, run)).multinomial(n_photons, p / p.sum())
-                      for run, p in enumerate(point)] for seed, point in zip(seeds, pvals)])
+    return np.array([[np.random.default_rng((seed + n, run)).multinomial(n_photons, p / p.sum())
+                      for run, p in enumerate(point)] for n, point in enumerate(pvals)])
 
 
-def monte_carlo_counts(
-    setup: SetupParams,
-    input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG,
-    n_photons: int = 1_000_000,
-    rng_seed: int = 0,
-) -> CountRecord:
+def monte_carlo_counts(setup: SetupParams, input_angle_deg: float, n_photons: int,
+                       rng_seed: int) -> CountRecord:
     """Multinomial photon counts for the three runs of one strength setting.
 
     Run index 0 is the prepared input state, 1 and 2 are the P and M
@@ -336,23 +340,18 @@ def monte_carlo_counts(
     (rng_seed, run index).  The one-point view of the grid draw.
     """
     config = SweepConfig((setup.theta_deg,), setup.v_pm, setup.v_hv, input_angle_deg)
-    (runs,) = _draw_counts(config, n_photons, (rng_seed,)).tolist()
+    (runs,) = _draw_counts(config, n_photons, rng_seed).tolist()
     return CountRecord(setup, float(input_angle_deg), int(n_photons), int(rng_seed),
                        *(dict(zip(OUTCOMES, counts)) for counts in runs))
 
 
 def _count_columns(theta, input_angle_deg: float, n: int, counts: np.ndarray) -> np.ndarray:
     """The estimate columns of N count tables shaped (N, run, outcome), runs as in
-    :meth:`CountRecord.runs`: int64 draws or a record's numbers as objects, divided
-    exactly as Python ``k / n``.  A symmetric eigenstate confusion gives eps_eigen 4 p_error."""
-    totals = counts.sum(axis=-1)
-    off = np.abs(totals - n) > 1e-6 * max(1.0, n)
-    if off.any():
-        row, run = np.argwhere(off)[0]
-        raise InvalidInputError(f"counts for run {('psi', 'plus', 'minus')[run]!r} sum to "
-                                f"{totals.tolist()[row][run]!r}, expected n_photons={n}")
+    :meth:`CountRecord.runs`: int64 draws or a record's numbers as objects, with totals
+    checked where they enter, divided exactly as Python ``k / n``.  A symmetric
+    eigenstate confusion gives eps_eigen 4 p_error."""
     # Counts and n up to 2**53 are exact floats, so numpy's quotient is Python's k / n
-    frequencies = (counts if max(n, totals.max()) <= 2**53 else counts.astype(object)) / n
+    frequencies = (counts if max(n, counts.max()) <= 2**53 else counts.astype(object)) / n
     psi, plus, minus = frequencies.astype(float).transpose(1, 0, 2)
     mean_a = math.sin(2.0 * math.radians(input_angle_deg))
     p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
@@ -365,7 +364,7 @@ def _count_columns(theta, input_angle_deg: float, n: int, counts: np.ndarray) ->
 def run_montecarlo(config: SweepConfig, n_photons: int, seed: int) -> Table:
     """The sweep table estimated from simulated counts; grid point n draws with seed + n."""
     grid = config.theta_grid
-    counts = _draw_counts(config, n_photons, range(seed, seed + len(grid)))
+    counts = _draw_counts(config, n_photons, seed)
     return _estimate_table(_count_columns(grid, config.input_angle_deg, n_photons, counts))
 
 
@@ -376,19 +375,18 @@ def estimate_from_counts(record: CountRecord) -> dict:
     in a calibrated experiment; outcome and confusion probabilities come from
     the counts.  Outcomes with no counts are marked unresolvable and excluded
     from the optimal-error sums without affecting the others.  The one-row
-    view of the count table; int counts add in int64 where their totals fit.
+    view of the count table: the record, consistent since it was built,
+    gives its counts as one object array, divided as Python ``k / n``.
     """
-    runs = [[run[o] for o in OUTCOMES] for run in record.runs().values()]
-    exact = all(type(k) is int for run in runs for k in run) and max(map(sum, runs)) <= _MAX_PHOTONS
-    counts = np.array([runs], dtype=np.int64 if exact else object)
+    counts = np.array([[[run[o] for o in OUTCOMES] for run in record.runs().values()]],
+                      dtype=object)
     table = _estimate_table(_count_columns([record.setup.theta_deg], record.input_angle_deg,
                                            record.n_photons, counts))
     return {key: cells[0] for key, cells in table.items()}
 
 
-def bootstrap_standard_errors(
-    record: CountRecord, n_resamples: int = 200, rng_seed: int = 0
-) -> dict[str, float]:
+def bootstrap_standard_errors(record: CountRecord, n_resamples: int,
+                              rng_seed: int) -> dict[str, float]:
     """Multinomial-bootstrap standard errors for the estimated row fields.
 
     Counts are resampled from the empirical frequencies of each run, every

@@ -79,6 +79,10 @@ class TestParseConfig:
         config = parse_config(["lgi", "--theta", "12.5"])
         assert config.sweep.theta_grid == (12.5,)
 
+    def test_one_step_grid_is_theta_min(self):
+        config = parse_config(["sweep", "--theta-min", "3.5", "--theta-max", "9", "--steps", "1"])
+        assert config.sweep.theta_grid == (3.5,)
+
     def test_theta_conflicts_with_grid(self):
         with pytest.raises(UsageError, match="--theta"):
             parse_config(["sweep", "--theta", "5", "--steps", "3"])
@@ -501,6 +505,7 @@ def test_edge_inputs_give_rows_or_one_error_line(command, angle, capsys):
     (["reconstruct", "--lam", "1e-12"], 1),
     (["reconstruct", "--lam", "1e4"], 0),
     (["reconstruct", "--lam=-1e4"], 0),
+    (["sweep", "--theta-min", "10", "--theta-max", "5"], 2),
 ])
 def test_extreme_inputs_give_rows_or_one_error_line(argv, expected_status, capsys):
     argv = [*argv, "--steps", "2"]
@@ -517,11 +522,17 @@ def test_extreme_inputs_give_rows_or_one_error_line(argv, expected_status, capsy
     b'{"output": "x\\ud800y"}',
     b'{"input_angle": 1' + b"0" * 400 + b"}",
     b'{"steps": ' + b"1" * 5000 + b"}",
+    None,
+    b"[1, 2]",
+    b'{"steps": 2.5}',
 ], ids=["utf-16-bom", "deep-list", "deep-value", "nul-in-output", "surrogate-in-output",
-        "angle-beyond-float", "integer-beyond-str-limit"])
+        "angle-beyond-float", "integer-beyond-str-limit", "missing-file", "json-array",
+        "fractional-steps"])
 def test_bad_config_files_give_one_error_line(content, tmp_path, capsys):
+    # None: no file at the path
     path = tmp_path / "run.json"
-    path.write_bytes(content)
+    if content is not None:
+        path.write_bytes(content)
     argv = ["sweep", "--config", str(path)]
     status = main(argv)
     assert_rows_or_one_error_line(argv, status, capsys.readouterr())

@@ -252,7 +252,7 @@ class TestMonteCarloCounts:
         with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer of at least"):
             monte_carlo_counts(SetupParams(5.0), 67.5, n_photons, rng_seed=rng_seed)
         with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer of at least"):
-            harness._draw_counts(SweepConfig((5.0, 6.0)), n_photons, [3, rng_seed])
+            harness._draw_counts(SweepConfig((5.0, 6.0)), n_photons, rng_seed)
 
     def test_numpy_integers_draw_as_python_integers(self):
         record = monte_carlo_counts(SetupParams(5.0), 67.5, np.int64(10), rng_seed=np.uint8(3))
@@ -314,17 +314,27 @@ class TestEstimateFromCounts:
         params = SetupParams(5.0)
         record = self._proportional_record(params)
         zeros = {o: 0 for o in OUTCOMES}
-        broken = CountRecord(
-            setup=params,
-            input_angle_deg=67.5,
-            n_photons=record.n_photons,
-            rng_seed=0,
-            counts_psi=zeros,
-            counts_plus=record.counts_plus,
-            counts_minus=record.counts_minus,
-        )
-        with pytest.raises(InvalidInputError):
-            estimate_from_counts(broken)
+        with pytest.raises(InvalidInputError,
+                           match=r"^counts for run 'psi' sum to 0, expected n_photons=1000000$"):
+            CountRecord(
+                setup=params,
+                input_angle_deg=67.5,
+                n_photons=record.n_photons,
+                rng_seed=0,
+                counts_psi=zeros,
+                counts_plus=record.counts_plus,
+                counts_minus=record.counts_minus,
+            )
+
+    def test_record_runs_must_sum_to_n_photons(self):
+        # checked psi, plus, minus: the first run off the total is named
+        good, off = dict.fromkeys(OUTCOMES, 250), dict.fromkeys(OUTCOMES, 1)
+        for runs, name in (((off, off, off), "psi"), ((good, off, off), "plus"),
+                           ((good, good, off), "minus")):
+            with pytest.raises(InvalidInputError) as excinfo:
+                CountRecord(SetupParams(5.0), 67.5, 1000, 0, *runs)
+            assert str(excinfo.value) == (
+                f"counts for run '{name}' sum to 4, expected n_photons=1000")
 
     def test_record_rejects_photon_numbers_beyond_a_c_long(self):
         counts = {o: 2**61 for o in OUTCOMES}
@@ -412,8 +422,9 @@ class TestBootstrap:
     ])
     def test_rejects_bad_arguments(self, name, value):
         record = monte_carlo_counts(SetupParams(8.0), 67.5, 1_000, rng_seed=51)
+        arguments = {"n_resamples": 20, "rng_seed": 4, name: value}
         with pytest.raises(InvalidInputError, match=rf"^{name} must be an integer of at least"):
-            bootstrap_standard_errors(record, **{name: value})
+            bootstrap_standard_errors(record, **arguments)
 
     def test_numpy_integers_count_as_integers(self):
         record = monte_carlo_counts(SetupParams(8.0), 67.5, 1_000, rng_seed=51)

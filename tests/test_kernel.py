@@ -375,9 +375,9 @@ class TestCountTable:
     @staticmethod
     @st.composite
     def _records(draw):
-        """Hand-built records: each run's total within the 1e-6 check of n, past it, or
-        2**64 past it, split into float counts or into Python ints, which pass the
-        int64 range near the top."""
+        """The arguments of hand-built records: each run's total within the 1e-6 check
+        of n, past it, or 2**64 past it, split into float counts or into Python ints,
+        which pass the int64 range near the top."""
         n = draw(st.one_of(st.sampled_from(PHOTON_EDGES), st.integers(1, 2**63 - 1)))
         slack = int(1e-6 * n)
         runs = []
@@ -396,18 +396,20 @@ class TestCountTable:
             runs.append(dict(zip(OUTCOMES, counts)))
         setup = SetupParams(draw(with_edges(THETA_EDGES, 0.0, 22.5)))
         angle = draw(with_edges(EIGENSTATE_EDGES, -180.0, 180.0))
-        return CountRecord(setup, angle, n, 0, *runs)
+        return setup, angle, n, 0, *runs
 
     @settings(max_examples=300, deadline=None)
-    @given(record=_records())
-    def test_records_match_the_oracle(self, record):
+    @given(arguments=_records())
+    def test_records_match_the_oracle(self, arguments):
+        # an inconsistent record fails where it is built, with the oracle's message
         def one_row_table():
+            record = CountRecord(*arguments)
             return {key: [value] for key, value in estimate_from_counts(record).items()}
 
-        counts = [[[run[o] for o in OUTCOMES] for run in record.runs().values()]]
+        setup, angle, n, _, *runs = arguments
+        counts = [[[run[o] for o in OUTCOMES] for run in runs]]
         assert _cells_or_error(one_row_table) == _cells_or_error(
-            oracle_count_table, [record.setup.theta_deg], record.input_angle_deg,
-            record.n_photons, counts)
+            oracle_count_table, [setup.theta_deg], angle, n, counts)
 
 
 def _oracle_terms(theta, angle=67.5, v_pm=0.93, v_hv=0.9976):
