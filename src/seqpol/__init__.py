@@ -5,37 +5,30 @@ readout on a single polarization qubit, evaluates operator-based measurement
 errors and weak-value-optimal outcome assignments, and reconstructs the
 underlying quasi-probabilities whose negativity marks non-classical
 correlations.
+
+This package namespace holds the documented library and nothing else: states
+and observables, the instrument model, the error functionals and estimates,
+reconstruction, quasi-probabilities, the sweep and count routes, and the
+exceptions they raise.  Every other name has one home, its module, and is
+imported from there: the scalar operator oracle and tolerances from
+``seqpol.algebra``, the array steps (``effect_stack``, ``stack_terms``,
+``error_columns``) and result types from ``seqpol.instrument`` and
+``seqpol.analysis``, and the command tables from ``seqpol.harness``.
 """
 
 from .algebra import (
     DichotomicObservable,
-    IDENTITY,
-    PovmElement,
-    PovmSet,
     QubitState,
-    TAU_ALG,
-    as_operator,
-    born_probability,
-    expectation,
-    hermitian_eigenvalues,
     make_linear_polarization,
     make_stokes,
-    real_cross_correlation,
-    validate_povm,
 )
 from .analysis import (
     EstimateTable,
-    ErrorReport,
-    P_FLOOR,
-    QuasiProbabilityTable,
     ReconstructionConfig,
-    conditional_average,
     optimal_error,
     ozawa_error,
     quasi_probability,
     reconstruct_correlation,
-    symmetric_error_probability,
-    two_level_conditional_average,
     two_level_optimal_error,
     two_level_ozawa_error,
     variation_states,
@@ -48,24 +41,16 @@ from .exceptions import (
 )
 from .harness import (
     CountRecord,
-    Crossing,
     SweepConfig,
     bootstrap_standard_errors,
-    default_theta_grid,
     estimate_from_counts,
     find_crossings,
     monte_carlo_counts,
     run_sweep,
 )
 from .instrument import (
-    OUTCOMES,
-    OutcomeDistribution,
     SetupParams,
-    THETA_MAX_DEG,
-    V_HV_DEFAULT,
-    V_PM_DEFAULT,
     outcome_probabilities,
-    pm_error_probability,
     pm_marginal_povm,
     sequential_povm,
 )

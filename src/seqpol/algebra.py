@@ -185,9 +185,6 @@ class PovmSet:
             raise InvalidInputError("POVM outcome labels must be unique")
         object.__setattr__(self, "elements", elements)
 
-    def labels(self) -> tuple[Hashable, ...]:
-        return tuple(e.label for e in self.elements)
-
     def __iter__(self) -> Iterator[PovmElement]:
         return iter(self.elements)
 

@@ -491,12 +491,6 @@ class QuasiProbabilityTable:
     entries: Mapping[tuple[int, Hashable], float]
     negativity_present: bool
 
-    def outcome_marginal(self, label) -> float:
-        return self.entries[(1, label)] + self.entries[(-1, label)]
-
-    def eigenvalue_marginal(self, a: int) -> float:
-        return sum(value for (sign, _), value in self.entries.items() if sign == a)
-
 
 def quasi_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Entries Re<psi|E_m (1 + a A)/2|psi> = (P(m) + a c_m) / 2 over ``(..., K)`` pairs.

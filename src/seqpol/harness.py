@@ -43,6 +43,7 @@ from .instrument import (
     V_PM_DEFAULT,
     _require_thetas,
     effect_stack,
+    pm_error_probabilities,
 )
 
 DEFAULT_INPUT_ANGLE_DEG = 67.5
@@ -148,9 +149,7 @@ def run_sweep(config: SweepConfig) -> Table:
     state = make_linear_polarization(config.input_angle_deg)
     _, mean_square, _ = moments(state, _PM)
     ((p, c),) = _grid_terms(config, [state])
-    # pm_error_probability at every grid point
-    p_error = [0.5 * (1.0 - config.v_pm * math.sin(math.radians(4.0 * theta)))
-               for theta in config.theta_grid]
+    p_error = pm_error_probabilities(config.theta_grid, config.v_pm)
     return _estimate_table(_estimate_columns(config.theta_grid, p_error, p, c, mean_square, True))
 
 
@@ -292,6 +291,10 @@ class CountRecord:
     counts_minus: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
+        angle = self.input_angle_deg
+        if not isinstance(angle, (int, float)) or not math.isfinite(angle):
+            raise InvalidInputError(f"input_angle_deg must be finite, got {angle!r}")
+        _require_integer("rng_seed", self.rng_seed, 0)
         n = _require_integer("n_photons", self.n_photons, 1, _MAX_PHOTONS)
         for name in ("counts_psi", "counts_plus", "counts_minus"):
             counts = dict(getattr(self, name))

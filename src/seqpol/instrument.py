@@ -193,14 +193,19 @@ def pm_marginal_povm(params: SetupParams) -> PovmSet:
     return PovmSet(tuple(PovmElement(label=m1, op=op) for m1, op in zip(M1_VALUES, summed)))
 
 
-def pm_error_probability(params: SetupParams) -> float:
-    """Probability that m1 disagrees with a P or M eigenstate input.
+def pm_error_probabilities(theta_grid: Sequence[float], v_pm: float) -> list[float]:
+    """Probability that m1 disagrees with a P or M eigenstate input, over a strength grid.
 
     Equals ``(1 - v_pm * sin(4 theta)) / 2`` and, by construction of the
     imperfection model, the probability of the m1 = -1 marginal effect on a
     P-polarized input.
     """
-    return 0.5 * (1.0 - params.v_pm * math.sin(math.radians(4.0 * params.theta_deg)))
+    return [0.5 * (1.0 - v_pm * math.sin(math.radians(4.0 * theta))) for theta in theta_grid]
+
+
+def pm_error_probability(params: SetupParams) -> float:
+    """The one-point view of :func:`pm_error_probabilities`."""
+    return pm_error_probabilities((params.theta_deg,), params.v_pm)[0]
 
 
 def outcome_probabilities(params: SetupParams, state: QubitState) -> OutcomeDistribution:

@@ -13,7 +13,8 @@ table keeps every count a Python number in an object array, as
 crossing search reads both curves from a per-strength dict of outcome pairs,
 as ``seqpol.harness.find_crossings`` did before it read them from arrays.  The
 renderers write rows one cell at a time, as ``seqpol.cli`` did before it
-wrote its tables by columns.
+wrote its tables by columns.  The two marginals of a quasi-probability table
+are sums over its entries.
 """
 
 import csv
@@ -24,32 +25,27 @@ import math
 import numpy as np
 
 from seqpol import (
-    OUTCOMES,
-    Crossing,
-    ErrorReport,
     EstimateTable,
-    P_FLOOR,
-    THETA_MAX_DEG,
     DegenerateBranchError,
     InvalidInputError,
-    PovmElement,
-    PovmSet,
     SeqpolError,
     SetupParams,
     UnresolvableOutcomeError,
     make_linear_polarization,
     make_stokes,
 )
-from seqpol.algebra import TAU_ALG
-from seqpol.analysis import calibrated_columns, symmetric_confusion
+from seqpol.algebra import TAU_ALG, PovmElement, PovmSet
+from seqpol.analysis import P_FLOOR, ErrorReport, calibrated_columns, symmetric_confusion
 from seqpol.harness import (
     BISECTION_TOL_DEG,
     CROSSING_BRANCH_SWAP,
     CROSSING_SIGN_FLIP,
     NOISE_EPS,
+    Crossing,
     _estimate_columns,
     _estimate_table,
 )
+from seqpol.instrument import OUTCOMES, THETA_MAX_DEG
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -221,6 +217,16 @@ def oracle_error_report(terms, mean_square, variance_initial, assignments=None):
         excluded_probability=excluded,
     )
     return EstimateTable(optimal), report
+
+
+def outcome_marginal(table, label) -> float:
+    """Sum of a quasi-probability table's entries for one outcome over both eigenvalues."""
+    return table.entries[(1, label)] + table.entries[(-1, label)]
+
+
+def eigenvalue_marginal(table, a: int) -> float:
+    """Sum of a quasi-probability table's entries for target eigenvalue ``a``."""
+    return sum(value for (sign, _), value in table.entries.items() if sign == a)
 
 
 def _oracle_bisect(f, lo: float, hi: float, f_lo: float) -> float:

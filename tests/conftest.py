@@ -4,12 +4,8 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from seqpol import (
-    DichotomicObservable,
-    PovmElement,
-    PovmSet,
-    QubitState,
-)
+from seqpol import DichotomicObservable, QubitState
+from seqpol.algebra import PovmElement, PovmSet
 
 SQRT2 = math.sqrt(2.0)
 

@@ -5,19 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqpol import (
+from seqpol import InvalidInputError, QubitState, make_linear_polarization, make_stokes
+from seqpol.algebra import (
     IDENTITY,
-    InvalidInputError,
     PovmElement,
     PovmSet,
-    QubitState,
     TAU_ALG,
     as_operator,
     born_probability,
     expectation,
     hermitian_eigenvalues,
-    make_linear_polarization,
-    make_stokes,
     real_cross_correlation,
     validate_povm,
 )

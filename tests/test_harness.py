@@ -12,7 +12,6 @@ from seqpol import (
     SetupParams,
     SweepConfig,
     bootstrap_standard_errors,
-    default_theta_grid,
     estimate_from_counts,
     find_crossings,
     make_linear_polarization,
@@ -25,6 +24,7 @@ from seqpol.harness import (
     CROSSING_SIGN_FLIP,
     SWEEP_COLUMNS,
     analytic_row,
+    default_theta_grid,
     run_montecarlo,
 )
 from seqpol import harness
@@ -353,6 +353,18 @@ class TestEstimateFromCounts:
         counts = {o: 2.5 for o in OUTCOMES}
         with pytest.raises(InvalidInputError, match="^n_photons must be an integer"):
             CountRecord(SetupParams(5.0), 67.5, 10.0, 0, counts, counts, counts)
+
+    @pytest.mark.parametrize("field, value", [
+        ("input_angle_deg", "67.5"), ("input_angle_deg", math.nan), ("input_angle_deg", math.inf),
+        ("input_angle_deg", None), ("rng_seed", "x"), ("rng_seed", 2.7), ("rng_seed", True),
+        ("rng_seed", -1),
+    ])
+    def test_record_rejects_a_bad_angle_or_seed(self, field, value):
+        counts = dict.fromkeys(OUTCOMES, 250)
+        arguments = dict(setup=SetupParams(5.0), input_angle_deg=67.5, n_photons=1000, rng_seed=0,
+                         counts_psi=counts, counts_plus=counts, counts_minus=counts)
+        with pytest.raises(InvalidInputError, match=f"^{field} must be"):
+            CountRecord(**{**arguments, field: value})
 
     def test_record_requires_full_outcome_coverage(self):
         with pytest.raises(InvalidInputError):

@@ -5,23 +5,17 @@ import numpy as np
 import pytest
 
 from seqpol import (
-    IDENTITY,
     InvalidInputError,
-    OUTCOMES,
-    OutcomeDistribution,
     SetupParams,
     SweepConfig,
-    TAU_ALG,
-    born_probability,
     make_linear_polarization,
     make_stokes,
     outcome_probabilities,
-    pm_error_probability,
     pm_marginal_povm,
     sequential_povm,
-    validate_povm,
 )
-from seqpol.instrument import effect_stack
+from seqpol.algebra import IDENTITY, TAU_ALG, born_probability, validate_povm
+from seqpol.instrument import OUTCOMES, OutcomeDistribution, effect_stack, pm_error_probability
 
 from closed_forms import ideal_outcome_vector
 from conftest import SQRT2, m1_marginal, projector

@@ -20,30 +20,30 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from seqpol import (
-    OUTCOMES,
-    P_FLOOR,
     CountRecord,
     DichotomicObservable,
     EstimateTable,
     InvalidInputError,
-    PovmElement,
-    PovmSet,
     SetupParams,
-    born_probability,
     bootstrap_standard_errors,
     estimate_from_counts,
-    hermitian_eigenvalues,
     make_linear_polarization,
     make_stokes,
     monte_carlo_counts,
+)
+from seqpol import harness
+from seqpol.algebra import (
+    PovmElement,
+    PovmSet,
+    born_probability,
+    hermitian_eigenvalues,
     real_cross_correlation,
     validate_povm,
 )
-from seqpol import harness
-from seqpol.analysis import calibrated_terms, error_columns, moments, stack_terms
+from seqpol.analysis import P_FLOOR, calibrated_terms, error_columns, moments, stack_terms
 from seqpol.cli import main
 from seqpol.harness import SWEEP_COLUMNS
-from seqpol.instrument import _check_effects, effect_stack
+from seqpol.instrument import OUTCOMES, _check_effects, effect_stack
 
 from closed_forms import (
     oracle_count_table,
@@ -83,7 +83,7 @@ class TestEffectStack:
         p, c = stack_terms(psi, effects, PM)
         for n, theta in enumerate(thetas):
             oracle = oracle_povm(SetupParams(theta, v_pm, v_hv))
-            assert oracle.labels() == OUTCOMES
+            assert tuple(e.label for e in oracle) == OUTCOMES
             for k, element in enumerate(oracle):
                 assert np.array_equal(effects[n, k], element.op)
                 assert p[n, k] == born_probability(psi, element)
