@@ -2,23 +2,28 @@
 the command's one :mod:`seqpol.harness` step, and writes its table as CSV or JSON.
 
 Precedence for every setting: command-line flags override config-file values,
-which override built-in defaults.  Floats are written as their shortest
-round-trip decimals (``repr``), column by column: CSV in one ``csv`` writer
-call, JSON in the ``indent=2`` layout of ``json.dumps`` around cells that the C
-encoder writes a whole column at a time.  The same configuration (including
+which override built-in defaults.  One text step serves both formats: numbers
+are written as their shortest round-trip decimals (``repr``), bools as words,
+None as the format's null, and only str cells are quoted (``csv``) or escaped
+(``json``).  The whole table is checked first; then its text is made and
+written in blocks of ``_BLOCK_ROWS`` rows.  The same configuration (including
 the seed) always gives byte-identical files.
 """
 
 import argparse
 import csv
 import functools
-import io
 import json
 import math
 import os
 import sys
+from collections.abc import Iterator
+from contextlib import nullcontext
 from dataclasses import dataclass
+from itertools import chain, filterfalse, repeat
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
+from types import SimpleNamespace
 
 from .exceptions import SeqpolError
 from .harness import (
@@ -233,63 +238,86 @@ def run(config: RunConfig) -> Table:
     return _TABLES[config.command](config)
 
 
-def _csv_cells(column: list) -> list:
-    """Cells for csv, which writes floats as ``repr`` and None as empty; bools become words."""
-    if bool not in set(map(type, column)):
-        return column
-    return [("true" if value else "false") if type(value) is bool else value for value in column]
+# Rows per block of text; each block is made and written before the next one.
+_BLOCK_ROWS = 4096
+
+# csv quotes a str cell: writerow returns what ``write`` returns, here the line.
+# The empty second field stops csv quoting an empty cell, as it does a lone one.
+_csv_line = csv.writer(SimpleNamespace(write=str), lineterminator="\n").writerow
+# Each cell's text by its type; only str cells are quoted (CSV) or escaped (JSON).
+_BASE_TEXT = {float: repr, int: repr, bool: lambda value: "true" if value else "false"}
+_CSV_TEXT = {**_BASE_TEXT, type(None): lambda _: "", str: lambda text: _csv_line((text, ""))[:-2]}
+_JSON_TEXT = {**_BASE_TEXT, type(None): lambda _: "null", str: encode_basestring_ascii}
+
+
+def _texts(column: list, text: dict) -> list[str]:
+    if set(map(type, column)) <= {float, int}:
+        return list(map(repr, column))
+    return [text[type(value)](value) for value in column]
+
+
+def _csv_rows(columns: list[list]) -> str:
+    texts = [_texts(column, _CSV_TEXT) for column in columns]
+    if len(texts) == 1:  # csv writes a row of one empty field as "", not as a blank line
+        texts = [[text or '""' for text in texts[0]]]
+    return "\n".join(map(",".join, zip(*texts))) + "\n"
+
+
+def _json_rows(separators: list[str], columns: list[list]) -> str:
+    """Rows ``,\\n  {\\n    "key": cell,\\n    ...\\n  }``: separators interleaved with cells."""
+    parts = chain.from_iterable((repeat(separator), _texts(column, _JSON_TEXT))
+                                for separator, column in zip(separators, columns))
+    return "".join(chain.from_iterable(zip(*parts, repeat("\n  }"))))
+
+
+def _all_finite(column: list) -> bool:  # also False when finite floats sum past the range
+    try:
+        return math.isfinite(sum(column))
+    except (TypeError, OverflowError):  # None, str or an int beyond the float range
+        return math.isfinite(sum(value for value in column if type(value) is float))
+
+
+def _text(table: Table, fmt: str) -> Iterator[str]:
+    """The table's text in ``fmt``, made one block of ``_BLOCK_ROWS`` rows at a time.
+
+    The whole table is checked in this call, before any block is made: JSON has
+    no form for a NaN or infinity, and the error names the first in row order.
+    """
+    columns = list(table.values())
+    blocks = ([column[start:start + _BLOCK_ROWS] for column in columns]
+              for start in range(0, len(columns[0]) if columns else 0, _BLOCK_ROWS))
+    if fmt == "csv":
+        return chain([_csv_rows([[key] for key in table])], map(_csv_rows, blocks))
+    for value in chain.from_iterable(zip(*filterfalse(_all_finite, columns))):
+        if isinstance(value, float) and not math.isfinite(value):
+            raise SeqpolError("cannot write JSON: Out of range float values are not JSON "
+                              f"compliant: {value!r}")
+    if not columns or not columns[0]:
+        return iter(["[]\n"])
+    separators = [f",\n    {encode_basestring_ascii(key)}: " for key in table]
+    separators[0] = ",\n  {" + separators[0][1:]
+    rows = map(functools.partial(_json_rows, separators), blocks)
+    return chain(["["], (next(rows)[1:],), rows, ["\n]\n"])  # "[" replaces the first ","
 
 
 def render_csv(table: Table) -> str:
-    buffer = io.StringIO()
-    writer = csv.writer(buffer, lineterminator="\n")
-    writer.writerow(table)
-    writer.writerows(zip(*map(_csv_cells, table.values())))
-    return buffer.getvalue()
-
-
-# Encodes one value, or a whole list of them, in the json module's C encoder.
-_encode = json.JSONEncoder(allow_nan=False).encode
-
-
-def _json_cells(column: list) -> list[str]:
-    """Each value's JSON text; a column of numbers, bools and nulls is encoded in one call."""
-    if set(map(type, column)) <= {float, int, bool, type(None)}:
-        return _encode(column)[1:-1].split(", ")
-    return list(map(_encode, column))
+    return "".join(_text(table, "csv"))
 
 
 def render_json(table: Table) -> str:
-    """JSON text of the rows, laid out as ``json.dumps(rows, indent=2)`` lays it out.
-
-    A NaN or infinite value has no JSON form and is an error.
-    """
-    columns = list(table.values())
-    if not columns or not columns[0]:
-        return "[]\n"
-    try:
-        cells = list(map(_json_cells, columns))
-    except ValueError:  # name the value, as the C encoder's message does not
-        value = next(value for row in zip(*columns) for value in row
-                     if isinstance(value, float) and not math.isfinite(value))
-        raise SeqpolError("cannot write JSON: Out of range float values are not JSON compliant: "
-                          f"{value!r}") from None
-    rows = zip(*(map(f"    {_encode(key)}: ".__add__, column) for key, column in zip(table, cells)))
-    return "[\n  {\n" + "\n  },\n  {\n".join(map(",\n".join, rows)) + "\n  }\n]\n"
+    """JSON text in the layout of ``json.dumps(rows, indent=2)``; a NaN or infinity is an error."""
+    return "".join(_text(table, "json"))
 
 
 def emit(table: Table, fmt: str, path: str) -> None:
     """Write a table as CSV or JSON to a path, or to stdout for '-'.
 
-    Floats are rendered as their shortest round-trip decimals and unresolvable
-    cells come out empty (CSV) or null (JSON), so identical configurations
-    yield byte-identical artifacts.
+    The whole table is checked before the first write, so a value JSON cannot
+    hold leaves no file; then each block is written as soon as its text is made.
     """
-    text = render_csv(table) if fmt == "csv" else render_json(table)
-    if path == "-":
-        sys.stdout.write(text)
-    else:
-        Path(path).write_text(text, encoding="utf-8")
+    blocks = _text(table, fmt)
+    with nullcontext(sys.stdout) if path == "-" else open(path, "w", encoding="utf-8") as out:
+        out.writelines(blocks)
 
 
 def main(argv=None) -> int:

@@ -249,7 +249,7 @@ class TestEmit:
 # Cells of every kind a table can hold, with the floats where repr switches to
 # an exponent, and strings that csv must quote or JSON must escape.
 EDGE_FLOATS = (-0.0, 0.0, 5e-324, 1e16, 1e-5, 1e-4, 0.1 + 0.2, 1.7976931348623157e308)
-EDGE_TEXT = (",", '"', ", ", "a\nb", "x\r\ny", "é", "ü, \"q\"", "", "null", "{}")
+EDGE_TEXT = (",", '"', ", ", "a\nb", "x\r\ny", "é", "ü, \"q\"", "", "null", "{}", "%", "%s")
 cells = st.one_of(
     st.sampled_from(EDGE_FLOATS), st.floats(allow_nan=False, allow_infinity=False),
     st.integers(), st.booleans(), st.none(), st.sampled_from(EDGE_TEXT), st.text(),
@@ -285,6 +285,7 @@ class TestRenderersMatchOracles:
         (["x"], []),
         (["x"], [{"x": None}]),
         (["x"], [{"x": ""}]),
+        ([""], [{"": None}, {"": "a"}]),
         (SWEEP_COLUMNS, []),
     ])
     def test_zero_rows_and_one_column(self, header, rows):
@@ -304,6 +305,73 @@ class TestRenderersMatchOracles:
             assert str(raised.value) == str(exc)
         else:
             assert render_json(columns(rows, header)) == expected
+
+
+class TestRenderersAcrossBlockEdges(TestRenderersMatchOracles):
+    """The same properties with blocks of one to three rows: the drawn tables of
+    up to six rows then cross block edges, which no golden output does."""
+
+    @pytest.fixture(scope="class", autouse=True, params=[1, 2, 3])
+    def block_rows(self, request):
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(cli, "_BLOCK_ROWS", request.param)
+            yield request.param
+
+
+class TestEmitInBlocks:
+    ARGV = ["reconstruct", "--steps", "1100", "--format", "json"]
+
+    @staticmethod
+    def expected_text(argv):
+        table = cli.run(parse_config(argv))
+        rows = [dict(zip(table, row)) for row in zip(*table.values())]
+        return oracle_render_json(rows, list(table))
+
+    def check_writes(self, writes, expected):
+        """At least two writes, each of one block of rows or less, adding up to ``expected``."""
+        assert len(writes) >= 2
+        assert max(text.count("\n  }") for text in writes) <= cli._BLOCK_ROWS
+        assert "".join(writes) == expected
+
+    def test_stdout_is_written_block_by_block(self, monkeypatch):
+        class CountingStream(io.StringIO):
+            def write(self, text):
+                writes.append(text)
+                return super().write(text)
+
+        writes = []
+        monkeypatch.setattr(sys, "stdout", CountingStream())
+        assert main(self.ARGV) == 0
+        self.check_writes(writes, self.expected_text(self.ARGV))
+
+    def test_file_is_written_block_by_block(self, monkeypatch, tmp_path):
+        def counting_open(*args, **kwargs):
+            handle = open(*args, **kwargs)
+            write = handle.write
+            handle.write = lambda text: writes.append(text) or write(text)
+            return handle
+
+        writes = []
+        path = tmp_path / "rows.json"
+        monkeypatch.setattr(cli, "open", counting_open, raising=False)
+        assert main([*self.ARGV, "--output", str(path)]) == 0
+        expected = self.expected_text(self.ARGV)
+        self.check_writes(writes, expected)
+        assert path.read_text(encoding="utf-8") == expected
+
+    @pytest.mark.parametrize("to_file", [False, True])
+    def test_nan_in_the_last_block_writes_nothing(self, to_file, monkeypatch, capsys, tmp_path):
+        n_rows = 2 * cli._BLOCK_ROWS + 1
+        table = {"x": [0.5] * (n_rows - 1) + [math.nan], "y": ["a"] * n_rows}
+        monkeypatch.setattr(cli, "run", lambda config: table)
+        path = tmp_path / "rows.json"
+        argv = ["sweep", "--format", "json"] + (["--output", str(path)] if to_file else [])
+        assert main(argv) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("error: cannot write JSON: Out of range float values are not "
+                                "JSON compliant: nan\n")
+        assert not path.exists()
 
 
 class TestCrossingsCommand:
