@@ -23,13 +23,13 @@ That possibility is exactly the failure of a joint positive probability for
 outcome and eigenvalue, which :func:`quasi_probability` makes visible.
 
 Every estimate and error is computed from one pair per outcome,
-(P(m), c_m = Re<psi|E_m A|psi>).  :func:`stack_terms` gives them as float64
-arrays over a real stack of effects, for a whole strength grid at once, and
-:func:`outcome_terms` as a table for any one POVM from the scalar algebra;
-:func:`calibrated_terms` gives them from eigenstate-calibration
-probabilities.  One array step, :func:`error_columns`, turns ``(N, K)``
-tables of them into the optimal assignments and the squared errors of N
-settings; :func:`error_report` is its one-row view.
+(P(m), c_m = Re<psi|E_m A|psi>), held as two float arrays.  :func:`stack_terms`
+gives them over a real stack of effects, for a whole strength grid at once;
+:func:`outcome_terms` gives them, with the outcome labels, for any one POVM
+from the scalar algebra; :func:`calibrated_columns` gives them from
+eigenstate-calibration probabilities.  One array step, :func:`error_columns`,
+turns ``(N, K)`` tables of them into the optimal assignments and the squared
+errors of N settings; :func:`error_report` is its one-row view.
 """
 
 import math
@@ -170,9 +170,9 @@ def two_level_conditional_average(
     state; it is an independent quantity, not the sum of the numerator terms,
     which is what lets the result leave the eigenvalue range.
     """
-    terms = calibrated_terms({outcome: p_m_psi}, {outcome: (p_m_given_plus, p_m_given_minus)},
-                             p_plus_psi, p_minus_psi)
-    return conditional_average(terms[outcome][1], terms[outcome][0], outcome=outcome)
+    _, p, c = _calibrated_pairs({outcome: p_m_psi}, {outcome: (p_m_given_plus, p_m_given_minus)},
+                                p_plus_psi, p_minus_psi)
+    return conditional_average(float(c[0]), float(p[0]), outcome=outcome)
 
 
 def symmetric_error_probability(p_flip_plus: float, p_flip_minus: float) -> float | None:
@@ -262,9 +262,6 @@ def _check_decomposition(epsilon_sq, mean_square, estimate_variance, residual, e
         raise InvalidInputError("excluded probability cannot be negative")
 
 
-OutcomeTerms = Mapping[Hashable, tuple[float, float]]
-
-
 def stack_terms(
     state: QubitState, effects: np.ndarray, observable: DichotomicObservable
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -292,40 +289,30 @@ def stack_terms(
 
 def outcome_terms(
     state: QubitState, povm: PovmSet, observable: DichotomicObservable
-) -> dict[Hashable, tuple[float, float]]:
-    """Per-outcome pairs (P(m), Re<psi|E_m A|psi>) of one POVM, complex ones included, by
-    :func:`seqpol.algebra.born_probability` and :func:`seqpol.algebra.real_cross_correlation`."""
-    return {e.label: (born_probability(state, e), real_cross_correlation(state, e, observable.op))
-            for e in povm}
+) -> tuple[tuple[Hashable, ...], np.ndarray, np.ndarray]:
+    """The labels of any POVM, complex ones included, and float arrays of their P(m) and
+    Re<psi|E_m A|psi> from the scalar oracle (``born_probability``, ``real_cross_correlation``)."""
+    p = [born_probability(state, e) for e in povm]
+    c = [real_cross_correlation(state, e, observable.op) for e in povm]
+    return tuple(e.label for e in povm), np.array(p, dtype=float), np.array(c, dtype=float)
 
 
-def calibrated_terms(
-    outcome_probs: Mapping[Hashable, float],
-    eigenstate_probs: Mapping[Hashable, tuple[float, float]],
-    p_plus_psi: float,
-    p_minus_psi: float,
-) -> dict[Hashable, tuple[float, float]]:
-    """Per-outcome pairs (P(m), c_m) from measured probabilities alone.
-
-    ``outcome_probs`` holds P(m|psi) from the direct run, ``eigenstate_probs``
-    holds (P(m|+), P(m|-)) from the eigenstate calibration runs, and the
-    eigenstate weights of the input complete the correlation
-    c_m = P(m|+) p_plus - P(m|-) p_minus of a two-level target.  Every
-    probability must be a number in [0, 1].
-    """
+def _calibrated_pairs(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi):
+    """The labels and :func:`calibrated_columns` of probability tables keyed by outcome,
+    once the tables share one outcome set and every probability is a number."""
     if set(outcome_probs) != set(eigenstate_probs):
         raise InvalidInputError("probability tables must share one outcome set")
     table = [(outcome_probs[label], *eigenstate_probs[label]) for label in outcome_probs]
     for value in (p_plus_psi, p_minus_psi, *(value for row in table for value in row)):
         if not isinstance(value, (int, float)):
             raise InvalidInputError(f"a probability must be a number in [0, 1], got {value!r}")
-    p, given_plus, given_minus = np.array(table, float).reshape(len(table), 3).T
-    p, c = calibrated_columns(p, given_plus, given_minus, p_plus_psi, p_minus_psi)
-    return dict(zip(outcome_probs, zip(p.tolist(), c.tolist())))
+    columns = np.array(table, float).reshape(len(table), 3).T
+    return tuple(outcome_probs), *calibrated_columns(*columns, p_plus_psi, p_minus_psi)
 
 
 def calibrated_columns(p, given_plus, given_minus, p_plus_psi, p_minus_psi):
-    """:func:`calibrated_terms` over float arrays of P(m|psi), P(m|+) and P(m|-)."""
+    """Pairs P(m) and c_m = P(m|+) p_plus_psi - P(m|-) p_minus_psi of a two-level target,
+    from float arrays of P(m|psi), P(m|+) and P(m|-); every probability lies in [0, 1]."""
     p_plus_psi = _require_probability(p_plus_psi, "p_plus_psi")
     p_minus_psi = _require_probability(p_minus_psi, "p_minus_psi")
     given_plus = _require_probability(given_plus, "P(m|+)")
@@ -385,30 +372,22 @@ def error_columns(
 
 
 def error_report(
-    terms: OutcomeTerms,
-    mean_square: float,
-    variance_initial: float,
-    assignments: EstimateTable | None = None,
-    nonnegative: bool = False,
+    labels: Sequence[Hashable], p: np.ndarray, c: np.ndarray, mean_square: float,
+    variance_initial: float, assignments: EstimateTable | None, nonnegative: bool,
 ) -> tuple[EstimateTable, ErrorReport]:
-    """Optimal estimates and the squared error of an assignment, from (P, c) pairs.
-
-    The one-row view of :func:`error_columns`: the table holds ``None`` for
-    an unresolvable outcome, and the report is the minimal error, or Ozawa's
-    error of ``assignments``.
-    """
+    """The one-row view of :func:`error_columns` over the pairs of ``labels``: the optimal
+    estimates, ``None`` for an unresolvable outcome, and the minimal error, or Ozawa's
+    error of ``assignments``."""
     fixed = None
     if assignments is not None:
-        if set(assignments.labels()) != set(terms):
+        if set(assignments.labels()) != set(labels):
             raise InvalidInputError("assignment table must cover exactly the outcome set")
-        fixed = [assignments[label] for label in terms]
+        fixed = [assignments[label] for label in labels]
         if any(value is None for value in fixed):
             raise InvalidInputError("every outcome needs a finite assignment for error evaluation")
-    p, c = np.array([list(terms.values())], dtype=float).reshape(1, -1, 2).transpose(2, 0, 1)
-    optimal, epsilon_sq, *decomposition = (
-        column[0].tolist() for column in error_columns(p, c, mean_square, fixed, nonnegative)
-    )
-    table = EstimateTable({label: None if math.isnan(a) else a for label, a in zip(terms, optimal)})
+    optimal, epsilon_sq, *decomposition = (column[0].tolist() for column in error_columns(
+        np.reshape(p, (1, -1)), np.reshape(c, (1, -1)), mean_square, fixed, nonnegative))
+    table = EstimateTable({label: None if math.isnan(a) else a for label, a in zip(labels, optimal)})
     return table, ErrorReport(epsilon_sq, mean_square, variance_initial, *decomposition)
 
 
@@ -432,7 +411,7 @@ def ozawa_error(
     residual mis-assignment.
     """
     terms = outcome_terms(state, povm, observable)
-    return error_report(terms, *moments(state, observable)[1:], assignments, nonnegative=True)[1]
+    return error_report(*terms, *moments(state, observable)[1:], assignments, True)[1]
 
 
 def optimal_error(
@@ -445,7 +424,7 @@ def optimal_error(
     and they contribute nothing to the estimate variance.
     """
     terms = outcome_terms(state, povm, observable)
-    return error_report(terms, *moments(state, observable)[1:], nonnegative=True)
+    return error_report(*terms, *moments(state, observable)[1:], None, True)
 
 
 def two_level_ozawa_error(
@@ -457,13 +436,13 @@ def two_level_ozawa_error(
 ) -> ErrorReport:
     """Squared error evaluated purely from measured probabilities.
 
-    The inputs are those of :func:`calibrated_terms`.  Sampling noise can push
-    the plug-in estimate slightly negative, so unlike :func:`ozawa_error` no
-    sign gate is applied.
+    The tables hold P(m|psi) and (P(m|+), P(m|-)) by outcome, the inputs of
+    :func:`calibrated_columns`.  Sampling noise can push the plug-in estimate
+    slightly negative, so unlike :func:`ozawa_error` no sign gate is applied.
     """
-    terms = calibrated_terms(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi)
+    labels, p, c = _calibrated_pairs(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi)
     mean = p_plus_psi - p_minus_psi
-    return error_report(terms, 1.0, 1.0 - mean * mean, assignments)[1]
+    return error_report(labels, p, c, 1.0, 1.0 - mean * mean, assignments, False)[1]
 
 
 def two_level_optimal_error(
@@ -473,9 +452,9 @@ def two_level_optimal_error(
     p_minus_psi: float,
 ) -> tuple[EstimateTable, ErrorReport]:
     """Probability-based counterpart of :func:`optimal_error`."""
-    terms = calibrated_terms(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi)
+    labels, p, c = _calibrated_pairs(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi)
     mean = p_plus_psi - p_minus_psi
-    return error_report(terms, 1.0, 1.0 - mean * mean)
+    return error_report(labels, p, c, 1.0, 1.0 - mean * mean, None, False)
 
 
 @dataclass(frozen=True)
@@ -506,7 +485,7 @@ def quasi_probability(
     state: QubitState, povm: PovmSet, observable: DichotomicObservable
 ) -> QuasiProbabilityTable:
     """Quasi-probability table of outcomes against target eigenvalues."""
-    terms = outcome_terms(state, povm, observable)
-    entries, negative = quasi_entries(*np.array(list(terms.values())).T)
-    keys = [(a, label) for a in (1, -1) for label in terms]
+    labels, p, c = outcome_terms(state, povm, observable)
+    entries, negative = quasi_entries(p, c)
+    keys = [(a, label) for a in (1, -1) for label in labels]
     return QuasiProbabilityTable(dict(zip(keys, entries.ravel().tolist())), bool(negative))

@@ -103,6 +103,7 @@ class SweepConfig:
             raise InvalidInputError("theta_grid needs at least one strength setting")
         SetupParams(grid[0], self.v_pm, self.v_hv)  # the first setting, then the visibilities
         object.__setattr__(self, "theta_grid", tuple(_require_thetas(grid)))
+        _require_angle(self.input_angle_deg)
 
 
 def _estimate_columns(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float,
@@ -291,16 +292,17 @@ class CountRecord:
     counts_minus: Mapping[tuple[int, int], float]
 
     def __post_init__(self):
-        angle = self.input_angle_deg
-        if not isinstance(angle, (int, float)) or not math.isfinite(angle):
-            raise InvalidInputError(f"input_angle_deg must be finite, got {angle!r}")
+        if not isinstance(self.setup, SetupParams):
+            raise InvalidInputError(f"setup must be a SetupParams, got {self.setup!r}")
+        _require_angle(self.input_angle_deg)
         _require_integer("rng_seed", self.rng_seed, 0)
         n = _require_integer("n_photons", self.n_photons, 1, _MAX_PHOTONS)
         for name in ("counts_psi", "counts_plus", "counts_minus"):
             counts = dict(getattr(self, name))
             if set(counts) != set(OUTCOMES):
                 raise InvalidInputError(f"{name} must cover exactly the four outcomes")
-            if any(not math.isfinite(v) or v < 0 for v in counts.values()):
+            if not all(isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
+                       and v >= 0 for v in counts.values()):
                 raise InvalidInputError(f"{name} must be non-negative and finite")
             object.__setattr__(self, name, counts)
         for run, counts in self.runs().items():
@@ -312,6 +314,12 @@ class CountRecord:
 
     def runs(self) -> dict[str, Mapping[tuple[int, int], float]]:
         return {"psi": self.counts_psi, "plus": self.counts_plus, "minus": self.counts_minus}
+
+
+def _require_angle(angle) -> None:
+    """The rule for the input polarization angle of a sweep and of a count record."""
+    if not isinstance(angle, (int, float)) or not math.isfinite(angle):
+        raise InvalidInputError(f"input_angle_deg must be finite, got {angle!r}")
 
 
 def _require_integer(name: str, value, least: int, most: float = math.inf) -> int:

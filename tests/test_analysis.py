@@ -34,7 +34,7 @@ from seqpol.algebra import (
 )
 from seqpol.analysis import (
     ErrorReport,
-    calibrated_terms,
+    calibrated_columns,
     conditional_average,
     outcome_terms,
     symmetric_error_probability,
@@ -459,23 +459,28 @@ class TestOutcomeTermSources:
         psi = make_linear_polarization(angle)
         pm = make_stokes("PM")
         povm = sequential_povm(params)
-        direct = outcome_terms(psi, povm, pm)
+        labels, *pairs = outcome_terms(psi, povm, pm)
+        assert labels == tuple(el.label for el in povm)
+        assert all(x.dtype == float and x.shape == (4,) for x in pairs)
+        direct = dict(zip(labels, zip(*(x.tolist() for x in pairs))))
 
         summed = {
             m1: tuple(direct[(m1, 1)][i] + direct[(m1, -1)][i] for i in (0, 1)) for m1 in (1, -1)
         }
-        marginal = outcome_terms(psi, pm_marginal_povm(params), pm)
+        m1_labels, *m1_pairs = outcome_terms(psi, pm_marginal_povm(params), pm)
+        marginal = dict(zip(m1_labels, zip(*(x.tolist() for x in m1_pairs))))
         assert list(summed) == list(marginal)
         for label, (p, c) in marginal.items():
             assert summed[label] == pytest.approx((p, c), abs=1e-12)
 
         p_state = make_linear_polarization(45.0)
         m_state = make_linear_polarization(-45.0)
-        calibrated = calibrated_terms(
-            {el.label: born_probability(psi, el) for el in povm},
-            {el.label: (born_probability(p_state, el), born_probability(m_state, el)) for el in povm},
+        columns = calibrated_columns(
+            *(np.array([born_probability(state, el) for el in povm])
+              for state in (psi, p_state, m_state)),
             *eigenstate_weights(math.sin(math.radians(2.0 * angle))),
         )
+        calibrated = dict(zip(labels, zip(*(x.tolist() for x in columns))))
         assert list(calibrated) == list(direct)
         for label, (p, c) in direct.items():
             assert calibrated[label] == pytest.approx((p, c), abs=1e-12)

@@ -64,6 +64,11 @@ class TestSweepConfig:
         with pytest.raises(InvalidInputError, match=message):
             SweepConfig(theta_grid=grid, v_pm=v_pm)
 
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, "67.5", None])
+    def test_rejects_a_bad_input_angle(self, angle):
+        with pytest.raises(InvalidInputError, match="^input_angle_deg must be finite"):
+            SweepConfig(input_angle_deg=angle)
+
     def test_validates_without_a_setup_per_setting(self, monkeypatch):
         built = []
         monkeypatch.setattr(
@@ -357,7 +362,7 @@ class TestEstimateFromCounts:
     @pytest.mark.parametrize("field, value", [
         ("input_angle_deg", "67.5"), ("input_angle_deg", math.nan), ("input_angle_deg", math.inf),
         ("input_angle_deg", None), ("rng_seed", "x"), ("rng_seed", 2.7), ("rng_seed", True),
-        ("rng_seed", -1),
+        ("rng_seed", -1), ("setup", "x"), ("setup", None), ("setup", (5.0, 0.93, 0.9976)),
     ])
     def test_record_rejects_a_bad_angle_or_seed(self, field, value):
         counts = dict.fromkeys(OUTCOMES, 250)
@@ -365,6 +370,18 @@ class TestEstimateFromCounts:
                          counts_psi=counts, counts_plus=counts, counts_minus=counts)
         with pytest.raises(InvalidInputError, match=f"^{field} must be"):
             CountRecord(**{**arguments, field: value})
+
+    @pytest.mark.parametrize("count", ["2.5", None, 2.5j, [1], -1, math.nan, math.inf])
+    def test_record_rejects_a_count_that_is_not_a_finite_number(self, count):
+        counts = dict.fromkeys(OUTCOMES, 250)
+        with pytest.raises(InvalidInputError, match="^counts_minus must be non-negative and finite"):
+            CountRecord(SetupParams(5.0), 67.5, 1000, 0, counts, counts,
+                        {**counts, OUTCOMES[0]: count})
+
+    def test_record_keeps_python_and_numpy_counts(self):
+        counts = dict(zip(OUTCOMES, [np.int64(1), np.float32(2.0), 3.0, True]))
+        record = CountRecord(SetupParams(5.0), 67.5, 7, 0, counts, counts, counts)
+        assert record.counts_psi == counts
 
     def test_record_requires_full_outcome_coverage(self):
         with pytest.raises(InvalidInputError):

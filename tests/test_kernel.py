@@ -5,7 +5,8 @@ and ``stack_terms`` takes (P, c) over it; the loop-built ``oracle_povm`` with th
 scalar ``born_probability`` and ``real_cross_correlation`` is the reference, and
 with the complex128 ``oracle_stack_terms`` it pins the real kernel bit for bit.
 ``error_columns`` turns whole (P, c) tables into estimates and errors; the
-outcome-by-outcome ``oracle_error_report`` is its reference, and a
+outcome-by-outcome ``oracle_error_report`` is its reference, also for the
+calibrated ``two_level_*`` errors of probability tables keyed by outcome, and a
 bootstrap drawing its resamples one by one is the reference of
 ``bootstrap_standard_errors``.  The count table of int64 draws and of
 hand-built records has the object-array ``oracle_count_table`` as reference.
@@ -30,6 +31,8 @@ from seqpol import (
     make_linear_polarization,
     make_stokes,
     monte_carlo_counts,
+    two_level_optimal_error,
+    two_level_ozawa_error,
 )
 from seqpol import harness
 from seqpol.algebra import (
@@ -40,7 +43,8 @@ from seqpol.algebra import (
     real_cross_correlation,
     validate_povm,
 )
-from seqpol.analysis import P_FLOOR, calibrated_terms, error_columns, moments, stack_terms
+from seqpol.analysis import (P_FLOOR, calibrated_columns, error_columns, moments, stack_terms,
+                             two_level_conditional_average)
 from seqpol.cli import main
 from seqpol.harness import SWEEP_COLUMNS
 from seqpol.instrument import OUTCOMES, _check_effects, effect_stack
@@ -247,13 +251,11 @@ class TestErrorColumns:
         p, c = [], []
         for theta in thetas:
             record = monte_carlo_counts(SetupParams(theta, v_pm, v_hv), angle, n_photons, seed)
-            f = {name: {o: k / n_photons for o, k in counts.items()}
-                 for name, counts in record.runs().items()}
-            terms = calibrated_terms(
-                f["psi"], {o: (f["plus"][o], f["minus"][o]) for o in OUTCOMES}, weight, 1.0 - weight
-            )
-            p.append([terms[o][0] for o in OUTCOMES])
-            c.append([terms[o][1] for o in OUTCOMES])
+            f = [np.array([counts[o] / n_photons for o in OUTCOMES])
+                 for counts in record.runs().values()]
+            p_k, c_k = calibrated_columns(*f, weight, 1.0 - weight)
+            p.append(p_k.tolist())
+            c.append(c_k.tolist())
         mean = weight - (1.0 - weight)
         _assert_columns_match_the_oracle(np.array(p), np.array(c), 1.0, 1.0 - mean * mean)
 
@@ -410,6 +412,86 @@ class TestCountTable:
         counts = [[[run[o] for o in OUTCOMES] for run in runs]]
         assert _cells_or_error(one_row_table) == _cells_or_error(
             oracle_count_table, [setup.theta_deg], angle, n, counts)
+
+
+PROBABILITY = with_edges((0.0, P_FLOOR, 0.5, 1.0), 0.0, 1.0)
+
+
+@st.composite
+def keyed_tables(draw):
+    """P(m|psi) and (P(m|+), P(m|-)) keyed by outcome, and the eigenstate weights: the
+    frequencies of one simulated setting (eigenstate inputs and zero counts included),
+    or free tables over one to four outcomes."""
+    if draw(st.booleans()):
+        setup = SetupParams(draw(with_edges(THETA_EDGES, 0.0, 22.5)),
+                            draw(with_edges(V_PM_EDGES, 0.0, 1.0)),
+                            draw(with_edges(V_HV_EDGES, 0.0, 1.0)))
+        angle = draw(st.one_of(st.sampled_from(EIGENSTATE_EDGES), st.floats(-180.0, 180.0)))
+        n = draw(st.one_of(st.sampled_from((1, 2, 10)), st.integers(1, 10**6)))
+        record = monte_carlo_counts(setup, angle, n, draw(st.integers(0, 2**31)))
+        psi, plus, minus = ({o: k / n for o, k in counts.items()}
+                            for counts in record.runs().values())
+        weight = 0.5 * (1.0 + math.sin(2.0 * math.radians(angle)))
+        return psi, {o: (plus[o], minus[o]) for o in OUTCOMES}, weight, 1.0 - weight
+    labels = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=4, unique=True))
+    return ({label: draw(PROBABILITY) for label in labels},
+            {label: (draw(PROBABILITY), draw(PROBABILITY)) for label in labels},
+            draw(PROBABILITY), draw(PROBABILITY))
+
+
+def _repr_or_error(step, *args):
+    """A result by repr, or the type and message of the error it raises."""
+    try:
+        return repr(step(*args))
+    except Exception as exc:  # noqa: BLE001 - the type is part of what is compared
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestCalibratedViews:
+    @settings(max_examples=300, deadline=None)
+    @given(tables=keyed_tables(),
+           assigned=st.lists(with_edges((1.0, -1.0, 0.0), -3.0, 3.0), min_size=4, max_size=4))
+    def test_two_level_errors_equal_the_oracle(self, tables, assigned):
+        outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi = tables
+        terms = {label: (p, eigenstate_probs[label][0] * p_plus_psi
+                         - eigenstate_probs[label][1] * p_minus_psi)
+                 for label, p in outcome_probs.items()}
+        mean = p_plus_psi - p_minus_psi
+        variance = 1.0 - mean * mean
+        table = EstimateTable(dict(zip(outcome_probs, assigned)))
+        assert _repr_or_error(two_level_optimal_error, *tables) == _repr_or_error(
+            oracle_error_report, terms, 1.0, variance)
+        assert _repr_or_error(two_level_ozawa_error, *tables, table) == _repr_or_error(
+            lambda: oracle_error_report(terms, 1.0, variance, table)[1])
+
+    @settings(max_examples=200, deadline=None)
+    @given(tables=keyed_tables(), spot=st.sampled_from(["psi", "plus", "minus", "weight"]),
+           data=st.data())
+    def test_a_string_probability_is_invalid_input(self, tables, spot, data):
+        outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi = tables
+        outcome_probs, eigenstate_probs = dict(outcome_probs), dict(eigenstate_probs)
+        label = data.draw(st.sampled_from(list(outcome_probs)))
+        given_plus, given_minus = eigenstate_probs[label]
+        if spot == "psi":
+            outcome_probs[label] = repr(outcome_probs[label])
+        elif spot == "plus":
+            eigenstate_probs[label] = (repr(given_plus), given_minus)
+        elif spot == "minus":
+            eigenstate_probs[label] = (given_plus, repr(given_minus))
+        else:
+            p_plus_psi = repr(p_plus_psi)
+        table = EstimateTable(dict.fromkeys(outcome_probs, 1.0))
+        calls = [
+            lambda: two_level_optimal_error(outcome_probs, eigenstate_probs, p_plus_psi,
+                                            p_minus_psi),
+            lambda: two_level_ozawa_error(outcome_probs, eigenstate_probs, p_plus_psi,
+                                          p_minus_psi, table),
+            lambda: two_level_conditional_average(*eigenstate_probs[label], p_plus_psi,
+                                                  p_minus_psi, outcome_probs[label]),
+        ]
+        for call in calls:
+            with pytest.raises(InvalidInputError, match="^a probability must be a number"):
+                call()
 
 
 def _oracle_terms(theta, angle=67.5, v_pm=0.93, v_hv=0.9976):
