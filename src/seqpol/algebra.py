@@ -17,7 +17,7 @@ from typing import Hashable, Iterator
 
 import numpy as np
 
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, require_real
 
 # Absolute tolerances for double-precision closed-form arithmetic.
 TAU_ALG = 1e-10
@@ -112,9 +112,7 @@ class QubitState:
 
 def make_linear_polarization(angle_deg: float) -> QubitState:
     """Pure linear-polarization state cos(a)|H> + sin(a)|V> for ``a`` in degrees."""
-    if not isinstance(angle_deg, (int, float)) or not math.isfinite(angle_deg):
-        raise InvalidInputError(f"polarization angle must be finite, got {angle_deg!r}")
-    rad = math.radians(angle_deg)
+    rad = math.radians(require_real("polarization angle", angle_deg))
     return QubitState.pure([math.cos(rad), math.sin(rad)])
 
 

@@ -41,7 +41,8 @@ import numpy as np
 
 from .algebra import (TAU_ALG, DichotomicObservable, PovmSet, QubitState, born_probability,
                       expectation, real_cross_correlation)
-from .exceptions import DegenerateBranchError, InvalidInputError, UnresolvableOutcomeError
+from .exceptions import (DegenerateBranchError, InvalidInputError, UnresolvableOutcomeError,
+                         real_number, require_real, shown)
 
 # Below this probability an outcome is reported as unresolvable instead of
 # producing a huge finite estimate; divergent conditional averages are real
@@ -68,22 +69,20 @@ class ReconstructionConfig:
     lam: float
 
     def __post_init__(self):
-        if not isinstance(self.lam, (int, float)) or not math.isfinite(self.lam):
-            raise InvalidInputError(f"lam must be finite, got {self.lam!r}")
+        object.__setattr__(self, "lam", require_real("lam", self.lam))
         if self.lam == 0.0:
             raise InvalidInputError("lam must be nonzero")
-        object.__setattr__(self, "lam", float(self.lam))
 
 
 def _require_probability(value, name: str):
-    """A number as a float, or a float array, once every entry lies in [0, 1]."""
-    number = isinstance(value, (int, float, np.ndarray))
-    values = np.asarray(value if number else np.nan, dtype=float)
+    """A real number as a float, or a float array, once every entry lies in [0, 1]."""
+    array = isinstance(value, np.ndarray)
+    values = np.asarray(value if array else real_number(value), dtype=float)
     outside = values[~((values >= 0.0) & (values <= 1.0))]
     if outside.size:
-        got = value if values.ndim == 0 else float(outside[0])
-        raise InvalidInputError(f"{name} must be a probability in [0, 1], got {got!r}")
-    return values if values.ndim else float(value)
+        got = shown(float(outside[0]) if values.ndim else value)
+        raise InvalidInputError(f"{name} must be a probability in [0, 1], got {got}")
+    return values if values.ndim else float(values)
 
 
 def variation_states(
@@ -131,6 +130,7 @@ def reconstruct_correlation(p_plus, p_minus, mean_a: float, mean_a2: float,
     """
     p_plus = _require_probability(p_plus, "p_plus")
     p_minus = _require_probability(p_minus, "p_minus")
+    mean_a, mean_a2 = require_real("mean_a", mean_a), require_real("mean_a2", mean_a2)
     lam = config.lam
     w_plus = 1.0 + 2.0 * lam * mean_a + lam * lam * mean_a2
     w_minus = 1.0 - 2.0 * lam * mean_a + lam * lam * mean_a2
@@ -203,13 +203,10 @@ class EstimateTable:
     assignments: Mapping[Hashable, float | None]
 
     def __post_init__(self):
-        table = {}
-        for label, value in dict(self.assignments).items():
+        table = dict(self.assignments)
+        for label, value in table.items():
             if value is not None:
-                value = float(value)
-                if not math.isfinite(value):
-                    raise InvalidInputError(f"assignment for outcome {label!r} must be finite")
-            table[label] = value
+                table[label] = require_real(f"assignment for outcome {label!r}", value)
         if not table:
             raise InvalidInputError("an estimate table needs at least one outcome")
         object.__setattr__(self, "assignments", table)
@@ -298,16 +295,25 @@ def outcome_terms(
 
 
 def _calibrated_pairs(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi):
-    """The labels and :func:`calibrated_columns` of probability tables keyed by outcome,
-    once the tables share one outcome set and every probability is a number."""
+    """The labels and :func:`calibrated_columns` of probability tables keyed by outcome, once
+    the tables share one outcome set, each eigenstate entry is a pair and each probability
+    is a number."""
     if set(outcome_probs) != set(eigenstate_probs):
         raise InvalidInputError("probability tables must share one outcome set")
-    table = [(outcome_probs[label], *eigenstate_probs[label]) for label in outcome_probs]
-    for value in (p_plus_psi, p_minus_psi, *(value for row in table for value in row)):
-        if not isinstance(value, (int, float)):
-            raise InvalidInputError(f"a probability must be a number in [0, 1], got {value!r}")
-    columns = np.array(table, float).reshape(len(table), 3).T
-    return tuple(outcome_probs), *calibrated_columns(*columns, p_plus_psi, p_minus_psi)
+    values = [p_plus_psi, p_minus_psi]
+    for label, p in outcome_probs.items():
+        try:
+            given_plus, given_minus = eigenstate_probs[label]
+        except (TypeError, ValueError):
+            raise InvalidInputError(f"outcome {label!r} needs a (P(m|+), P(m|-)) pair, "
+                                    f"got {shown(eigenstate_probs[label])}") from None
+        values += [p, given_plus, given_minus]
+    numbers = [real_number(value) for value in values]
+    if None in numbers:
+        raise InvalidInputError("a probability must be a number in [0, 1], "
+                                f"got {shown(values[numbers.index(None)])}")
+    columns = np.array(numbers[2:]).reshape(-1, 3).T
+    return tuple(outcome_probs), *calibrated_columns(*columns, *numbers[:2])
 
 
 def calibrated_columns(p, given_plus, given_minus, p_plus_psi, p_minus_psi):

@@ -1,4 +1,11 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the two number rules of every input.
+
+A real input is a ``numbers.Real`` that is finite as a float (a bool counts as 0 or 1, a
+numpy scalar by its value); an integer input is a ``numbers.Integral`` other than a bool.
+"""
+
+import math
+import numbers
 
 
 class SeqpolError(Exception):
@@ -22,3 +29,40 @@ class UnresolvableOutcomeError(SeqpolError, ArithmeticError):
     def __init__(self, message: str, outcome=None):
         super().__init__(message)
         self.outcome = outcome
+
+
+def shown(value) -> str:
+    """``repr(value)`` for an error message; an int too long for repr gets a placeholder."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
+def real_number(value) -> float | None:
+    """``value`` as a float if it is a finite real number, else None."""
+    try:
+        number = float(value) if isinstance(value, numbers.Real) else math.nan
+    except OverflowError:  # an int past the float range
+        return None
+    return number if math.isfinite(number) else None
+
+
+def require_real(name: str, value, lo=-math.inf, hi=math.inf, unit: str = "") -> float:
+    """``value`` as a float, once it is a finite real number in [lo, hi]."""
+    number = real_number(value)
+    if number is None:
+        raise InvalidInputError(f"{name} must be finite, got {shown(value)}")
+    if not lo <= number <= hi:
+        raise InvalidInputError(f"{name} must lie in [{lo}, {hi}]{unit}, got {shown(value)}")
+    return number
+
+
+def require_integer(name: str, value, least: int, most=math.inf) -> int:
+    """``value`` as an int, once it is an integer, not a bool, in [least, most]."""
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < least:
+        raise InvalidInputError(
+            f"{name} must be an integer of at least {least}, got {shown(value)}")
+    if value > most:
+        raise InvalidInputError(f"{name} must lie in [{least}, {most}], got {shown(value)}")
+    return int(value)

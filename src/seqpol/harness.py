@@ -35,7 +35,7 @@ from .analysis import (
     symmetric_confusion,
     variation_states,
 )
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, real_number, require_integer, require_real
 from .instrument import (
     OUTCOMES,
     SetupParams,
@@ -55,8 +55,8 @@ BISECTION_TOL_DEG = 0.01
 # inputs, c(-1,-1) on H and V inputs at v_pm = 0) the noise stays below
 # 0.3 epsilon of the scale.
 NOISE_EPS = 8.0 * np.finfo(float).eps
-# numpy's multinomial draws take a C long.
-_MAX_PHOTONS = int(np.iinfo(np.int64).max)
+# numpy's multinomial draws take a C long, as photon numbers and as sample counts.
+_MAX_DRAWS = int(np.iinfo(np.int64).max)
 
 SWEEP_COLUMNS = [
     "theta_deg", "p_error",
@@ -101,9 +101,12 @@ class SweepConfig:
         grid = tuple(self.theta_grid)
         if not grid:
             raise InvalidInputError("theta_grid needs at least one strength setting")
-        SetupParams(grid[0], self.v_pm, self.v_hv)  # the first setting, then the visibilities
+        _require_thetas(grid[:1])  # the first setting, then the visibilities, then the rest
+        for name in ("v_pm", "v_hv"):
+            object.__setattr__(self, name, require_real(name, getattr(self, name), 0, 1))
         object.__setattr__(self, "theta_grid", tuple(_require_thetas(grid)))
-        _require_angle(self.input_angle_deg)
+        object.__setattr__(self, "input_angle_deg",
+                           require_real("input_angle_deg", self.input_angle_deg))
 
 
 def _estimate_columns(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float,
@@ -294,15 +297,16 @@ class CountRecord:
     def __post_init__(self):
         if not isinstance(self.setup, SetupParams):
             raise InvalidInputError(f"setup must be a SetupParams, got {self.setup!r}")
-        _require_angle(self.input_angle_deg)
-        _require_integer("rng_seed", self.rng_seed, 0)
-        n = _require_integer("n_photons", self.n_photons, 1, _MAX_PHOTONS)
+        angle = require_real("input_angle_deg", self.input_angle_deg)
+        seed = require_integer("rng_seed", self.rng_seed, 0)
+        n = require_integer("n_photons", self.n_photons, 1, _MAX_DRAWS)
+        for name, value in (("input_angle_deg", angle), ("rng_seed", seed), ("n_photons", n)):
+            object.__setattr__(self, name, value)
         for name in ("counts_psi", "counts_plus", "counts_minus"):
             counts = dict(getattr(self, name))
             if set(counts) != set(OUTCOMES):
                 raise InvalidInputError(f"{name} must cover exactly the four outcomes")
-            if not all(isinstance(v, (int, float, np.integer, np.floating)) and math.isfinite(v)
-                       and v >= 0 for v in counts.values()):
+            if not all(real_number(v) is not None and v >= 0 for v in counts.values()):
                 raise InvalidInputError(f"{name} must be non-negative and finite")
             object.__setattr__(self, name, counts)
         for run, counts in self.runs().items():
@@ -316,26 +320,11 @@ class CountRecord:
         return {"psi": self.counts_psi, "plus": self.counts_plus, "minus": self.counts_minus}
 
 
-def _require_angle(angle) -> None:
-    """The rule for the input polarization angle of a sweep and of a count record."""
-    if not isinstance(angle, (int, float)) or not math.isfinite(angle):
-        raise InvalidInputError(f"input_angle_deg must be finite, got {angle!r}")
-
-
-def _require_integer(name: str, value, least: int, most: float = math.inf) -> int:
-    """``value`` as an int, once it is an integer, not a bool, in [least, most]."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
-        raise InvalidInputError(f"{name} must be an integer of at least {least}, got {value!r}")
-    if value > most:
-        raise InvalidInputError(f"{name} must lie in [{least}, {most}], got {value!r}")
-    return int(value)
-
-
 def _draw_counts(config: SweepConfig, n_photons: int, seed: int) -> np.ndarray:
     """The counts of :func:`monte_carlo_counts` at every grid point, point n with seed + n,
     as an int64 array shaped (N, run, outcome)."""
-    n_photons = _require_integer("n_photons", n_photons, 1, _MAX_PHOTONS)
-    seed = _require_integer("rng_seed", seed, 0)
+    n_photons = require_integer("n_photons", n_photons, 1, _MAX_DRAWS)
+    seed = require_integer("rng_seed", seed, 0)
     states = [make_linear_polarization(config.input_angle_deg), *_CALIBRATION]
     pvals = np.stack([p for p, _ in _grid_terms(config, states)], axis=1)
     return np.array([[np.random.default_rng((seed + n, run)).multinomial(n_photons, p / p.sum())
@@ -352,7 +341,7 @@ def monte_carlo_counts(setup: SetupParams, input_angle_deg: float, n_photons: in
     """
     config = SweepConfig((setup.theta_deg,), setup.v_pm, setup.v_hv, input_angle_deg)
     (runs,) = _draw_counts(config, n_photons, rng_seed).tolist()
-    return CountRecord(setup, float(input_angle_deg), int(n_photons), int(rng_seed),
+    return CountRecord(setup, config.input_angle_deg, n_photons, rng_seed,
                        *(dict(zip(OUTCOMES, counts)) for counts in runs))
 
 
@@ -404,8 +393,8 @@ def bootstrap_standard_errors(record: CountRecord, n_resamples: int,
     resample in one draw, and estimated as one table; fields that come back
     unresolvable in any resample are omitted from the result.
     """
-    n_resamples = _require_integer("n_resamples", n_resamples, 2)
-    rng_seed = _require_integer("rng_seed", rng_seed, 0)
+    n_resamples = require_integer("n_resamples", n_resamples, 2, _MAX_DRAWS)
+    rng_seed = require_integer("rng_seed", rng_seed, 0)
     n = record.n_photons
     frequencies = [np.array([counts[o] for o in OUTCOMES]) / sum(counts.values())
                    for counts in record.runs().values()]

@@ -50,7 +50,7 @@ from .algebra import (
     QubitState,
     born_probability,
 )
-from .exceptions import InvalidInputError
+from .exceptions import InvalidInputError, real_number, require_real
 
 V_PM_DEFAULT = 0.93
 V_HV_DEFAULT = 0.9976
@@ -67,21 +67,11 @@ _SQRT2 = math.sqrt(2.0)
 
 def _require_thetas(theta_grid: Sequence[float]) -> list[float]:
     """Strength settings as floats, checked as one array; the first bad one raises."""
-    values = np.array([t if isinstance(t, (int, float)) else math.nan for t in theta_grid], float)
+    values = np.array([t if type(t) is float else real_number(t) for t in theta_grid], float)
     bad = ~((values >= 0.0) & (values <= THETA_MAX_DEG))
     if bad.any():
-        n = int(bad.argmax())
-        rule = f"lie in [0, {THETA_MAX_DEG}] degrees" if math.isfinite(values[n]) else "be finite"
-        raise InvalidInputError(f"theta_deg must {rule}, got {theta_grid[n]!r}")
+        require_real("theta_deg", theta_grid[int(bad.argmax())], 0, THETA_MAX_DEG, " degrees")
     return values.tolist()
-
-
-def _require_visibility(name: str, value: float) -> float:
-    if not isinstance(value, (int, float)) or not math.isfinite(value):
-        raise InvalidInputError(f"{name} must be finite, got {value!r}")
-    if not 0.0 <= value <= 1.0:
-        raise InvalidInputError(f"{name} must lie in [0, 1], got {value!r}")
-    return float(value)
 
 
 def _require_outcome(outcome) -> tuple[int, int]:
@@ -105,7 +95,7 @@ class SetupParams:
     def __post_init__(self):
         object.__setattr__(self, "theta_deg", _require_thetas((self.theta_deg,))[0])
         for name in ("v_pm", "v_hv"):
-            object.__setattr__(self, name, _require_visibility(name, getattr(self, name)))
+            object.__setattr__(self, name, require_real(name, getattr(self, name), 0, 1))
 
 
 @dataclass(frozen=True)
@@ -118,10 +108,7 @@ class OutcomeDistribution:
         table = {}
         for outcome, p in dict(self.probs).items():
             outcome = _require_outcome(outcome)
-            p = float(p)
-            if not math.isfinite(p) or p < 0.0:
-                raise InvalidInputError(f"probability of outcome {outcome} must be >= 0, got {p!r}")
-            table[outcome] = p
+            table[outcome] = require_real(f"probability of outcome {outcome}", p, 0, math.inf)
         if set(table) != set(OUTCOMES):
             raise InvalidInputError("distribution must cover exactly the four sequential outcomes")
         if abs(sum(table.values()) - 1.0) > 1e-9:
@@ -141,8 +128,7 @@ def effect_stack(theta_grid: Sequence[float], v_pm: float, v_hv: float) -> np.nd
     Both steps preserve completeness and positivity; the stack is checked for
     both, and for symmetry, before it is returned.
     """
-    v_pm = _require_visibility("v_pm", v_pm)
-    v_hv = _require_visibility("v_hv", v_hv)
+    v_pm, v_hv = require_real("v_pm", v_pm, 0, 1), require_real("v_hv", v_hv, 0, 1)
     two_theta = [math.radians(2.0 * theta_deg) for theta_deg in _require_thetas(theta_grid)]
     c = np.array([math.cos(x) for x in two_theta])
     s = np.array([math.sin(x) for x in two_theta])

@@ -508,8 +508,8 @@ class TestPovmBuilds:
             monkeypatch.setattr(harness, cls.__name__,
                                 lambda *args, cls=cls: made.append(cls.__name__) or cls(*args))
         assert main(["montecarlo", "--n-photons", "100"]) == 0
-        # the one setup is SweepConfig's check of the first setting and the visibilities
-        assert made == ["SetupParams"]
+        # SweepConfig checks its settings by the number rules, without a setup
+        assert made == []
 
     def test_eigenstate_crossings_scan_the_grid_once(self, built, capsys):
         assert main(["crossings", "--input-angle", "45"]) == 0

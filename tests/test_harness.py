@@ -28,7 +28,7 @@ from seqpol.harness import (
     run_montecarlo,
 )
 from seqpol import harness
-from seqpol.instrument import OUTCOMES, V_HV_DEFAULT
+from seqpol.instrument import OUTCOMES
 
 from closed_forms import oracle_find_crossings
 from conftest import SQRT2, THETA_EDGES, V_HV_EDGES, V_PM_EDGES, with_edges
@@ -64,7 +64,8 @@ class TestSweepConfig:
         with pytest.raises(InvalidInputError, match=message):
             SweepConfig(theta_grid=grid, v_pm=v_pm)
 
-    @pytest.mark.parametrize("angle", [math.nan, math.inf, "67.5", None])
+    @pytest.mark.parametrize("angle", [math.nan, math.inf, "67.5", None,
+                                       pytest.param(10**400, id="10**400")])
     def test_rejects_a_bad_input_angle(self, angle):
         with pytest.raises(InvalidInputError, match="^input_angle_deg must be finite"):
             SweepConfig(input_angle_deg=angle)
@@ -75,7 +76,8 @@ class TestSweepConfig:
             harness, "SetupParams", lambda *args: built.append(args) or SetupParams(*args)
         )
         run_sweep(SweepConfig(theta_grid=tuple(range(20)), v_pm=0.9))
-        assert built == [(0.0, 0.9, V_HV_DEFAULT)]
+        # the settings go through the number rules alone, with no setup built
+        assert built == []
 
 
 class TestRunSweep:
@@ -371,7 +373,8 @@ class TestEstimateFromCounts:
         with pytest.raises(InvalidInputError, match=f"^{field} must be"):
             CountRecord(**{**arguments, field: value})
 
-    @pytest.mark.parametrize("count", ["2.5", None, 2.5j, [1], -1, math.nan, math.inf])
+    @pytest.mark.parametrize("count", ["2.5", None, 2.5j, [1], -1, math.nan, math.inf,
+                                       pytest.param(10**400, id="10**400")])
     def test_record_rejects_a_count_that_is_not_a_finite_number(self, count):
         counts = dict.fromkeys(OUTCOMES, 250)
         with pytest.raises(InvalidInputError, match="^counts_minus must be non-negative and finite"):

@@ -1,0 +1,163 @@
+"""The number rules at every library entry point that takes a number.
+
+A value that is not a finite real number (or, for a count of draws or a
+seed, not an integer) ends in an ``InvalidInputError``, never in a bare
+``OverflowError``, ``ValueError`` or ``TypeError``, and a numpy scalar counts
+as the Python number of its value.
+"""
+
+import dataclasses
+import math
+
+import numpy as np
+import pytest
+
+from seqpol import (
+    CountRecord,
+    EstimateTable,
+    InvalidInputError,
+    ReconstructionConfig,
+    SetupParams,
+    SweepConfig,
+    bootstrap_standard_errors,
+    make_linear_polarization,
+    monte_carlo_counts,
+    reconstruct_correlation,
+    two_level_optimal_error,
+    two_level_ozawa_error,
+)
+from seqpol.analysis import calibrated_columns, symmetric_error_probability
+from seqpol.instrument import OUTCOMES, OutcomeDistribution, effect_stack
+
+# By test id.  10**400 and -10**5000 lie past the float range, and repr fails on the second.
+HOSTILE_REALS = {"10**400": 10**400, "-10**5000": -(10**5000), "str": "0.5", "None": None,
+                 "complex": 1j, "nan": math.nan}
+HOSTILE_INTEGERS = {"-10**5000": -(10**5000), "str": "1", "None": None, "float": 1.0,
+                    "bool": True}
+
+COUNTS = dict.fromkeys(OUTCOMES, 250)
+EIGENSTATE = {1: (0.9, 0.1), -1: (0.1, 0.9)}
+HALF = np.array([0.5])
+
+
+def _record(**fields):
+    arguments = dict(setup=SetupParams(5.0), input_angle_deg=67.5, n_photons=1000, rng_seed=0,
+                     counts_psi=COUNTS, counts_plus=COUNTS, counts_minus=COUNTS)
+    return CountRecord(**{**arguments, **fields})
+
+
+REAL_ENTRIES = {
+    "SetupParams theta_deg": lambda x: SetupParams(x),
+    "SetupParams v_pm": lambda x: SetupParams(5.0, x),
+    "SetupParams v_hv": lambda x: SetupParams(5.0, 0.93, x),
+    "effect_stack theta_grid": lambda x: effect_stack([1.0, x], 0.93, 0.9976),
+    "effect_stack v_pm": lambda x: effect_stack([1.0], x, 0.9976),
+    "effect_stack v_hv": lambda x: effect_stack([1.0], 0.93, x),
+    "SweepConfig theta_grid": lambda x: SweepConfig((1.0, x)),
+    "SweepConfig input_angle_deg": lambda x: SweepConfig(input_angle_deg=x),
+    "make_linear_polarization": make_linear_polarization,
+    "ReconstructionConfig": ReconstructionConfig,
+    "reconstruct_correlation p_plus": lambda x: reconstruct_correlation(
+        x, 0.5, 0.0, 1.0, ReconstructionConfig(1.0)),
+    "reconstruct_correlation mean_a": lambda x: reconstruct_correlation(
+        0.5, 0.5, x, 1.0, ReconstructionConfig(1.0)),
+    "EstimateTable": lambda x: EstimateTable({1: x, -1: 0.5}),
+    "OutcomeDistribution": lambda x: OutcomeDistribution({**dict.fromkeys(OUTCOMES, 0.25),
+                                                          (1, 1): x}),
+    "calibrated_columns": lambda x: calibrated_columns(HALF, HALF, HALF, x, 0.5),
+    "two_level_optimal_error P(m)": lambda x: two_level_optimal_error(
+        {1: x, -1: 0.5}, EIGENSTATE, 0.5, 0.5),
+    "two_level_optimal_error P(m|+)": lambda x: two_level_optimal_error(
+        {1: 0.5, -1: 0.5}, {**EIGENSTATE, 1: (x, 0.1)}, 0.5, 0.5),
+    "two_level_optimal_error weight": lambda x: two_level_optimal_error(
+        {1: 0.5, -1: 0.5}, EIGENSTATE, 0.5, x),
+    "symmetric_error_probability": lambda x: symmetric_error_probability(x, 0.1),
+    "CountRecord input_angle_deg": lambda x: _record(input_angle_deg=x),
+    "CountRecord counts": lambda x: _record(counts_plus={**COUNTS, (1, 1): x}),
+    "monte_carlo_counts input_angle_deg": lambda x: monte_carlo_counts(
+        SetupParams(5.0), x, 10, 1),
+}
+
+INTEGER_ENTRIES = {
+    "monte_carlo_counts n_photons": lambda x: monte_carlo_counts(SetupParams(5.0), 67.5, x, 1),
+    "monte_carlo_counts rng_seed": lambda x: monte_carlo_counts(SetupParams(5.0), 67.5, 10, x),
+    "CountRecord n_photons": lambda x: _record(n_photons=x),
+    "CountRecord rng_seed": lambda x: _record(rng_seed=x),
+    "bootstrap_standard_errors n_resamples": lambda x: bootstrap_standard_errors(_record(), x, 1),
+    "bootstrap_standard_errors rng_seed": lambda x: bootstrap_standard_errors(_record(), 20, x),
+}
+
+
+def _cases(entries: dict, values: dict) -> list:
+    # None is an EstimateTable's mark of an unresolvable outcome, so it is valid there.
+    return [pytest.param(call, value, id=f"{entry}-{label}")
+            for entry, call in entries.items() for label, value in values.items()
+            if not (entry == "EstimateTable" and value is None)]
+
+
+@pytest.mark.parametrize("call, value", _cases(REAL_ENTRIES, HOSTILE_REALS))
+def test_a_real_input_rejects_what_is_not_a_finite_real_number(call, value):
+    with pytest.raises(InvalidInputError):
+        call(value)
+
+
+@pytest.mark.parametrize("call, value", _cases(INTEGER_ENTRIES, HOSTILE_INTEGERS))
+def test_an_integer_input_rejects_what_is_not_an_integer(call, value):
+    with pytest.raises(InvalidInputError):
+        call(value)
+
+
+def test_resamples_are_capped_at_a_c_long_as_photons_are():
+    for call in (INTEGER_ENTRIES["bootstrap_standard_errors n_resamples"],
+                 INTEGER_ENTRIES["CountRecord n_photons"]):
+        with pytest.raises(InvalidInputError, match=r"must lie in \[\d, 9223372036854775807\]"):
+            call(10**400)
+
+
+def test_a_rejected_value_too_long_to_print_is_named_by_its_type():
+    with pytest.raises(InvalidInputError) as excinfo:
+        monte_carlo_counts(SetupParams(5.0), 67.5, 10, -(10**5000))
+    assert str(excinfo.value) == (
+        "rng_seed must be an integer of at least 0, got <int too long to print>")
+
+
+def _field_types(value) -> list:
+    """The types of the stored fields of a settings object, a grid's entry by entry."""
+    stored = [getattr(value, field.name) for field in dataclasses.fields(value)]
+    return [type(x) for item in stored for x in (item if isinstance(item, tuple) else (item,))]
+
+
+# Each twin is built from Python numbers, the settings as floats.
+@pytest.mark.parametrize("built, twin", [
+    (lambda: SetupParams(np.float32(1.5), np.float32(0.5), np.int64(1)),
+     lambda: SetupParams(1.5, 0.5, 1.0)),
+    (lambda: SweepConfig(input_angle_deg=np.int64(45)),
+     lambda: SweepConfig(input_angle_deg=45.0)),
+    (lambda: SweepConfig((np.float32(2.5), True), np.int64(1), v_hv=np.float64(0.5)),
+     lambda: SweepConfig((2.5, 1.0), 1.0, v_hv=0.5)),
+    (lambda: ReconstructionConfig(np.float32(0.5)), lambda: ReconstructionConfig(0.5)),
+    (lambda: _record(input_angle_deg=np.int64(67), n_photons=np.int64(1000),
+                     rng_seed=np.uint8(3)),
+     lambda: _record(input_angle_deg=67.0, n_photons=1000, rng_seed=3)),
+])
+def test_numpy_scalars_are_stored_as_the_python_numbers_of_their_values(built, twin):
+    built, twin = built(), twin()
+    assert repr(built) == repr(twin)
+    assert _field_types(built) == _field_types(twin)
+
+
+@pytest.mark.parametrize("eigenstate_probs", [
+    {1: (0.9, 0.1, 0.0), -1: (0.1, 0.9)},
+    {1: (0.9, 0.1, 0.0), -1: (0.1, 0.9, 0.0)},
+    {1: 0.9, -1: (0.1, 0.9)},
+])
+def test_an_eigenstate_entry_that_is_not_a_pair_names_its_outcome(eigenstate_probs):
+    outcome_probs = {1: 0.5, -1: 0.5}
+    for call in (
+        lambda: two_level_optimal_error(outcome_probs, eigenstate_probs, 0.5, 0.5),
+        lambda: two_level_ozawa_error(outcome_probs, eigenstate_probs, 0.5, 0.5,
+                                      EstimateTable({1: 1.0, -1: -1.0})),
+    ):
+        with pytest.raises(InvalidInputError,
+                           match=r"^outcome 1 needs a \(P\(m\|\+\), P\(m\|-\)\) pair, got "):
+            call()
