@@ -17,7 +17,7 @@ from typing import Hashable, Iterator
 
 import numpy as np
 
-from .exceptions import InvalidInputError, require_real
+from .exceptions import InvalidInputError, require_real, shown
 
 # Absolute tolerances for double-precision closed-form arithmetic.
 TAU_ALG = 1e-10
@@ -30,15 +30,23 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _complex_array(entries, what: str) -> np.ndarray:
+    """``entries`` as a complex128 array; what numpy cannot convert is an InvalidInputError."""
+    try:
+        return np.array(entries, dtype=np.complex128)
+    except (TypeError, ValueError, OverflowError):  # not a number, ragged, past the float range
+        raise InvalidInputError(f"{what} must be complex numbers, got {shown(entries)}") from None
+
+
 def as_operator(entries) -> np.ndarray:
     """Coerce ``entries`` to a read-only 2x2 complex operator.
 
     Raises
     ------
     InvalidInputError
-        If the shape is not (2, 2) or any entry is NaN or infinite.
+        If an entry is not a number, the shape is not (2, 2) or any entry is NaN or infinite.
     """
-    op = np.array(entries, dtype=np.complex128)
+    op = _complex_array(entries, "operator entries")
     if op.shape != (2, 2):
         raise InvalidInputError(f"expected a 2x2 operator, got shape {op.shape}")
     if not np.all(np.isfinite(op)):
@@ -83,7 +91,7 @@ class QubitState:
             raise InvalidInputError("density matrix must be positive semidefinite")
         object.__setattr__(self, "density", rho)
         if self.vector is not None:
-            vec = np.array(self.vector, dtype=np.complex128)
+            vec = _complex_array(self.vector, "state vector entries")
             if vec.shape != (2,) or not np.all(np.isfinite(vec)):
                 raise InvalidInputError("state vector must be a finite 2-vector")
             if abs(np.linalg.norm(vec) - 1.0) > TAU_ALG:
@@ -98,7 +106,7 @@ class QubitState:
 
     @classmethod
     def pure(cls, vector) -> "QubitState":
-        vec = np.array(vector, dtype=np.complex128)
+        vec = _complex_array(vector, "state amplitudes")
         if vec.shape != (2,):
             raise InvalidInputError(f"expected a 2-vector, got shape {vec.shape}")
         if not np.all(np.isfinite(vec)):

@@ -147,6 +147,7 @@ def conditional_average(correlation: float, p_m: float, outcome: Hashable = None
     May lie outside [-1, +1].  Raises :class:`UnresolvableOutcomeError` when
     the outcome probability is at or below ``P_FLOOR``.
     """
+    correlation, p_m = require_real("correlation", correlation), require_real("p_m", p_m)
     if p_m <= P_FLOOR:
         raise UnresolvableOutcomeError(
             f"outcome probability {p_m!r} is below the resolvable floor", outcome=outcome

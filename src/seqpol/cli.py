@@ -1,8 +1,10 @@
 """Command-line surface: parses a command line into a :class:`RunConfig`, runs
 the command's one :mod:`seqpol.harness` step, and writes its table as CSV or JSON.
 
-Precedence for every setting: command-line flags override config-file values,
-which override built-in defaults.  One text step serves both formats: numbers
+Each setting is declared once, in ``_SETTINGS``.  Precedence for every setting:
+command-line flags override config-file values, which override built-in
+defaults; a number setting is checked by the rules of :mod:`seqpol.exceptions`
+and named by its flag.  One text step serves both formats: numbers
 are written as their shortest round-trip decimals (``repr``), bools as words,
 None as the format's null, and only str cells are quoted (``csv``) or escaped
 (``json``).  The whole table is checked first; then its text is made and
@@ -25,7 +27,7 @@ from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
 
-from .exceptions import SeqpolError
+from .exceptions import InvalidInputError, SeqpolError, require_integer, require_real
 from .harness import (
     DEFAULT_INPUT_ANGLE_DEG,
     SweepConfig,
@@ -38,21 +40,39 @@ from .harness import (
 )
 from .instrument import THETA_MAX_DEG, V_HV_DEFAULT, V_PM_DEFAULT
 
-_COMMON_DEFAULTS = {
-    "v_pm": V_PM_DEFAULT,
-    "v_hv": V_HV_DEFAULT,
-    "input_angle": DEFAULT_INPUT_ANGLE_DEG,
-    "theta": None,
-    "theta_min": 0.0,
-    "theta_max": THETA_MAX_DEG,
-    "steps": 46,
-    "output": "-",
-    "format": "csv",
+_FORMATS = ("csv", "json")
+# Every setting of a command, declared once: (type, default, lower bound, upper bound,
+# help, where "{}" stands for the default).  The command's flags, the keys its config
+# file may hold, its defaults and its checks all come from this table.
+_COMMON = {
+    "v_pm": (float, V_PM_DEFAULT, 0.0, 1.0, "interferometer visibility (default {})"),
+    "v_hv": (float, V_HV_DEFAULT, 0.0, 1.0, "HV readout visibility (default {})"),
+    "input_angle": (float, DEFAULT_INPUT_ANGLE_DEG, -math.inf, math.inf,
+                    "input polarization angle in degrees (default {})"),
+    "theta": (float, None, 0.0, THETA_MAX_DEG,
+              "single strength setting; conflicts with the grid flags"),
+    "theta_min": (float, 0.0, 0.0, THETA_MAX_DEG, None),
+    "theta_max": (float, THETA_MAX_DEG, 0.0, THETA_MAX_DEG, None),
+    # the grid is a tuple, which holds at most sys.maxsize points
+    "steps": (int, 46, 1, sys.maxsize, "number of grid points (default {})"),
+    "output": (str, "-", None, None, "output path, '-' for stdout"),
+    "format": (str, "csv", None, None, None),
 }
-_COMMAND_DEFAULTS = {"montecarlo": {"n_photons": 1_000_000, "seed": 12345},
-                     "reconstruct": {"lam": 1.0}}
+_SETTINGS = {
+    "sweep": _COMMON,
+    "crossings": _COMMON,
+    "montecarlo": {
+        **_COMMON,
+        "n_photons": (int, 1_000_000, 1, math.inf, "photons per counting run (default {})"),
+        "seed": (int, 12345, 0, math.inf, "base RNG seed; grid point i uses seed + i"),
+    },
+    "reconstruct": {
+        **_COMMON,
+        "lam": (float, 1.0, -math.inf, math.inf, "input-state variation parameter (default {})"),
+    },
+    "lgi": _COMMON,
+}
 _GRID_KEYS = ("theta_min", "theta_max", "steps")
-_MAX = sys.float_info.max
 
 
 class UsageError(SeqpolError):
@@ -67,9 +87,9 @@ class RunConfig:
     sweep: SweepConfig
     output: str
     fmt: str
-    n_photons: int | None = None
-    seed: int | None = None
-    lam: float | None = None
+    n_photons: int | None
+    seed: int | None
+    lam: float | None
 
 
 def _flag(key: str) -> str:
@@ -93,32 +113,14 @@ def _build_parser() -> argparse.ArgumentParser:
     for command, description in descriptions.items():
         p = sub.add_parser(command, help=description)
         p.add_argument("--config", default=None, help="JSON file with key/value settings")
-        p.add_argument("--v-pm", dest="v_pm", type=float, default=None,
-                       help=f"interferometer visibility (default {V_PM_DEFAULT})")
-        p.add_argument("--v-hv", dest="v_hv", type=float, default=None,
-                       help=f"HV readout visibility (default {V_HV_DEFAULT})")
-        p.add_argument("--input-angle", dest="input_angle", type=float, default=None,
-                       help=f"input polarization angle in degrees (default {DEFAULT_INPUT_ANGLE_DEG})")
-        p.add_argument("--theta", dest="theta", type=float, default=None,
-                       help="single strength setting; conflicts with the grid flags")
-        p.add_argument("--theta-min", dest="theta_min", type=float, default=None)
-        p.add_argument("--theta-max", dest="theta_max", type=float, default=None)
-        p.add_argument("--steps", dest="steps", type=int, default=None,
-                       help="number of grid points (default 46)")
-        p.add_argument("--output", default=None, help="output path, '-' for stdout")
-        p.add_argument("--format", dest="format", default=None, choices=("csv", "json"))
-        if command == "montecarlo":
-            p.add_argument("--n-photons", dest="n_photons", type=int, default=None,
-                           help="photons per counting run (default 1000000)")
-            p.add_argument("--seed", dest="seed", type=int, default=None,
-                           help="base RNG seed; grid point i uses seed + i")
-        if command == "reconstruct":
-            p.add_argument("--lam", dest="lam", type=float, default=None,
-                           help="input-state variation parameter (default 1.0)")
+        for key, (kind, default, _, _, text) in _SETTINGS[command].items():
+            p.add_argument(_flag(key), type=None if kind is str else kind, default=None,
+                           choices=_FORMATS if key == "format" else None,
+                           help=text and text.format(default))
     return parser
 
 
-def _load_config_file(path: str, allowed: set[str]) -> dict:
+def _load_config_file(path: str, allowed: dict) -> dict:
     try:
         raw = Path(path).read_text(encoding="utf-8")
         values = json.loads(raw)
@@ -134,55 +136,39 @@ def _load_config_file(path: str, allowed: set[str]) -> dict:
     return values
 
 
-def _require_number(merged: dict, key: str, lo: float, hi: float) -> float:
-    value = merged[key]
-    if isinstance(value, bool) or not isinstance(value, (int, float)) or not abs(value) <= _MAX:
-        raise UsageError(f"value for {_flag(key)} must be a finite number, got {value!r}")
-    if not lo <= value <= hi:
-        raise UsageError(f"value out of range for {_flag(key)}: {value!r} (allowed [{lo}, {hi}])")
-    return float(value)
-
-
-def _require_int(merged: dict, key: str, lo: int) -> int:
-    value = merged[key]
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise UsageError(f"value for {_flag(key)} must be an integer, got {value!r}")
-    if value < lo:
-        raise UsageError(f"value out of range for {_flag(key)}: {value!r} (minimum {lo})")
-    return value
+def _checked(key: str, value, kind: type, lo, hi):
+    """A number setting by the library's rule for ``kind``; a bad one is named by its flag."""
+    if isinstance(value, bool):  # only a config file's true or false
+        raise UsageError(f"{_flag(key)} must be a number, not {json.dumps(value)}")
+    try:
+        if kind is int:
+            return require_integer(_flag(key), value, lo, hi)
+        return require_real(_flag(key), value, lo, hi)
+    except InvalidInputError as exc:
+        raise UsageError(str(exc)) from None
 
 
 def parse_config(argv=None) -> RunConfig:
     """Resolve argv plus optional config file into a validated RunConfig."""
     namespace = _build_parser().parse_args(argv)
-    command = namespace.command
-    defaults = dict(_COMMON_DEFAULTS)
-    defaults.update(_COMMAND_DEFAULTS.get(command, {}))
+    settings = _SETTINGS[namespace.command]
+    given = {} if namespace.config is None else _load_config_file(namespace.config, settings)
+    flags = vars(namespace)
+    given.update((key, flags[key]) for key in settings if flags[key] is not None)
 
-    merged = dict(defaults)
-    explicit: set[str] = set()
-    if namespace.config is not None:
-        file_values = _load_config_file(namespace.config, set(defaults))
-        merged.update(file_values)
-        explicit.update(file_values)
-    for key in defaults:
-        value = getattr(namespace, key, None)
-        if value is not None:
-            merged[key] = value
-            explicit.add(key)
+    values = {}
+    for key, (kind, default, lo, hi, _) in settings.items():
+        value = given.get(key, default)
+        if kind is not str and not (value is None and default is None):
+            value = _checked(key, value, kind, lo, hi)
+        values[key] = value
 
-    v_pm = _require_number(merged, "v_pm", 0.0, 1.0)
-    v_hv = _require_number(merged, "v_hv", 0.0, 1.0)
-    input_angle = _require_number(merged, "input_angle", -math.inf, math.inf)
-
-    if merged["theta"] is not None:
-        if explicit & set(_GRID_KEYS):
+    if values["theta"] is not None:
+        if given.keys() & set(_GRID_KEYS):
             raise UsageError("--theta conflicts with --theta-min/--theta-max/--steps")
-        grid = (_require_number(merged, "theta", 0.0, THETA_MAX_DEG),)
+        grid = (values["theta"],)
     else:
-        theta_min = _require_number(merged, "theta_min", 0.0, THETA_MAX_DEG)
-        theta_max = _require_number(merged, "theta_max", 0.0, THETA_MAX_DEG)
-        steps = _require_int(merged, "steps", 1)
+        theta_min, theta_max, steps = (values[key] for key in _GRID_KEYS)
         if theta_max < theta_min:
             raise UsageError("--theta-max must not be smaller than --theta-min")
         if steps == 1:
@@ -191,35 +177,23 @@ def parse_config(argv=None) -> RunConfig:
             width = (theta_max - theta_min) / (steps - 1)
             grid = tuple(min(theta_min + i * width, theta_max) for i in range(steps))
 
-    fmt = merged["format"]
-    if fmt not in ("csv", "json"):
-        raise UsageError(f"value out of range for --format: {fmt!r} (allowed csv, json)")
-    output = merged["output"]
+    fmt = values["format"]
+    if fmt not in _FORMATS:
+        raise UsageError(f"--format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
+    output = values["output"]
     if not isinstance(output, str) or not output or "\0" in output:
-        raise UsageError(f"value for --output must be a non-empty path without NUL, got {output!r}")
+        raise UsageError(f"--output must be a non-empty path without NUL, got {output!r}")
     try:
         os.fsencode(output)
     except UnicodeEncodeError:
-        raise UsageError(f"value for --output cannot be encoded as a path: {output!r}") from None
+        raise UsageError(f"--output cannot be encoded as a path, got {output!r}") from None
+    if values.get("lam") == 0.0:
+        raise UsageError(f"--lam must be nonzero, got {values['lam']!r}")
 
-    n_photons = seed = lam = None
-    if command == "montecarlo":
-        n_photons = _require_int(merged, "n_photons", 1)
-        seed = _require_int(merged, "seed", 0)
-    if command == "reconstruct":
-        lam = _require_number(merged, "lam", -math.inf, math.inf)
-        if lam == 0.0:
-            raise UsageError("value out of range for --lam: must be nonzero")
-
-    return RunConfig(
-        command=command,
-        sweep=SweepConfig(grid, v_pm, v_hv, input_angle),
-        output=output,
-        fmt=fmt,
-        n_photons=n_photons,
-        seed=seed,
-        lam=lam,
-    )
+    sweep = SweepConfig(grid, values["v_pm"], values["v_hv"], values["input_angle"])
+    return RunConfig(command=namespace.command, sweep=sweep, output=output, fmt=fmt,
+                     n_photons=values.get("n_photons"), seed=values.get("seed"),
+                     lam=values.get("lam"))
 
 
 # Each command's harness step, looked up when it runs, so a wrapper bound over the

@@ -186,7 +186,9 @@ def pm_error_probabilities(theta_grid: Sequence[float], v_pm: float) -> list[flo
     imperfection model, the probability of the m1 = -1 marginal effect on a
     P-polarized input.
     """
-    return [0.5 * (1.0 - v_pm * math.sin(math.radians(4.0 * theta))) for theta in theta_grid]
+    v_pm = require_real("v_pm", v_pm, 0, 1)
+    return [0.5 * (1.0 - v_pm * math.sin(math.radians(4.0 * theta)))
+            for theta in _require_thetas(theta_grid)]
 
 
 def pm_error_probability(params: SetupParams) -> float:

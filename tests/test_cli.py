@@ -590,12 +590,13 @@ def test_extreme_inputs_give_rows_or_one_error_line(argv, expected_status, capsy
     b'{"output": "x\\ud800y"}',
     b'{"input_angle": 1' + b"0" * 400 + b"}",
     b'{"steps": ' + b"1" * 5000 + b"}",
+    b'{"steps": 1' + b"0" * 400 + b"}",
     None,
     b"[1, 2]",
     b'{"steps": 2.5}',
 ], ids=["utf-16-bom", "deep-list", "deep-value", "nul-in-output", "surrogate-in-output",
-        "angle-beyond-float", "integer-beyond-str-limit", "missing-file", "json-array",
-        "fractional-steps"])
+        "angle-beyond-float", "integer-beyond-str-limit", "steps-beyond-a-tuple", "missing-file",
+        "json-array", "fractional-steps"])
 def test_bad_config_files_give_one_error_line(content, tmp_path, capsys):
     # None: no file at the path
     path = tmp_path / "run.json"
@@ -618,8 +619,9 @@ json_values = st.recursive(
 )
 # Usable values of each key; a drawn config file also gives a few keys any
 # JSON value and sometimes holds an unknown key.  The grid is bounded at
-# 2,000 points; test_out_of_memory_gives_one_error_line covers larger ones in
-# a child process with a memory limit.
+# 2,000 points, or lies past sys.maxsize and is rejected before it is built;
+# test_out_of_memory_gives_one_error_line covers larger ones in a child
+# process with a memory limit.
 CONFIG_VALUES = {
     "steps": st.integers(max_value=2000),
     "theta": st.floats(0.0, 22.5),
@@ -648,7 +650,8 @@ def config_files(draw):
         values = {key: value for key, value in values.items() if key not in cli._GRID_KEYS}
     for key in draw(st.lists(st.sampled_from(sorted(keys)), max_size=2)):
         values[key] = draw(json_values.filter(
-            lambda value: key != "steps" or not isinstance(value, int) or value <= 2000))
+            lambda value: key != "steps" or not isinstance(value, int)
+            or not 2000 < value <= sys.maxsize))
     if draw(st.sampled_from([False] * 9 + [True])):
         values[draw(st.text(max_size=6))] = draw(json_values)
     # never an arbitrary relative path: stdout, one file of the test, or no usable path
@@ -688,6 +691,36 @@ def test_any_config_file_gives_rows_or_one_error_line(case, tmp_path_factory):
         assert status in (1, 2), argv
         lines = err.getvalue().splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:"), (argv, lines)
+
+
+COMMANDS = ["sweep", "crossings", "montecarlo", "reconstruct", "lgi"]
+# One value of each setting, other than its default.
+SETTING_VALUES = {
+    "v_pm": 0.5, "v_hv": 0.75, "input_angle": 10.0, "theta": 3.5, "theta_min": 1.5,
+    "theta_max": 20.0, "steps": 7, "output": ROWS, "format": "json", "n_photons": 1000,
+    "seed": 9, "lam": 0.25,
+}
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_a_setting_as_a_flag_or_a_config_key_gives_one_config(command, tmp_path):
+    keys = [key for key in SETTING_VALUES if OWN_COMMAND.get(key, command) == command]
+    assert set(keys) == set(cli._SETTINGS[command])
+    default = parse_config([command])
+    for key in keys:
+        value = SETTING_VALUES[key]
+        path = tmp_path / f"{key}.json"
+        path.write_text(json.dumps({key: value}), encoding="utf-8")
+        from_flag = parse_config([command, "--" + key.replace("_", "-"), str(value)])
+        assert from_flag == parse_config([command, "--config", str(path)]) != default, key
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_help_exits_zero(command, capsys):
+    with pytest.raises(SystemExit) as excinfo:
+        main([command, "--help"])
+    assert excinfo.value.code == 0
+    assert capsys.readouterr().out.startswith(f"usage: seqpol {command} ")
 
 
 @pytest.mark.parametrize("lam", ["1e4", "1e8", "1e-9"])

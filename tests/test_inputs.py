@@ -1,7 +1,8 @@
 """The number rules at every library entry point that takes a number.
 
 A value that is not a finite real number (or, for a count of draws or a
-seed, not an integer) ends in an ``InvalidInputError``, never in a bare
+seed, not an integer; for an operator or state entry, not a complex number)
+ends in an ``InvalidInputError``, never in a bare
 ``OverflowError``, ``ValueError`` or ``TypeError``, and a numpy scalar counts
 as the Python number of its value.
 """
@@ -14,8 +15,10 @@ import pytest
 
 from seqpol import (
     CountRecord,
+    DichotomicObservable,
     EstimateTable,
     InvalidInputError,
+    QubitState,
     ReconstructionConfig,
     SetupParams,
     SweepConfig,
@@ -26,8 +29,9 @@ from seqpol import (
     two_level_optimal_error,
     two_level_ozawa_error,
 )
-from seqpol.analysis import calibrated_columns, symmetric_error_probability
-from seqpol.instrument import OUTCOMES, OutcomeDistribution, effect_stack
+from seqpol.algebra import as_operator
+from seqpol.analysis import calibrated_columns, conditional_average, symmetric_error_probability
+from seqpol.instrument import OUTCOMES, OutcomeDistribution, effect_stack, pm_error_probabilities
 
 # By test id.  10**400 and -10**5000 lie past the float range, and repr fails on the second.
 HOSTILE_REALS = {"10**400": 10**400, "-10**5000": -(10**5000), "str": "0.5", "None": None,
@@ -65,6 +69,10 @@ REAL_ENTRIES = {
     "OutcomeDistribution": lambda x: OutcomeDistribution({**dict.fromkeys(OUTCOMES, 0.25),
                                                           (1, 1): x}),
     "calibrated_columns": lambda x: calibrated_columns(HALF, HALF, HALF, x, 0.5),
+    "conditional_average correlation": lambda x: conditional_average(x, 0.5),
+    "conditional_average p_m": lambda x: conditional_average(0.1, x),
+    "pm_error_probabilities theta_grid": lambda x: pm_error_probabilities([1.0, x], 0.5),
+    "pm_error_probabilities v_pm": lambda x: pm_error_probabilities([1.0], x),
     "two_level_optimal_error P(m)": lambda x: two_level_optimal_error(
         {1: x, -1: 0.5}, EIGENSTATE, 0.5, 0.5),
     "two_level_optimal_error P(m|+)": lambda x: two_level_optimal_error(
@@ -105,6 +113,45 @@ def test_a_real_input_rejects_what_is_not_a_finite_real_number(call, value):
 def test_an_integer_input_rejects_what_is_not_an_integer(call, value):
     with pytest.raises(InvalidInputError):
         call(value)
+
+
+# Operator and state-vector entries go through one complex conversion.
+COMPLEX_ENTRIES = {
+    "as_operator": lambda x: as_operator([[x, 0], [0, 1]]),
+    "DichotomicObservable.from_operator": lambda x: DichotomicObservable.from_operator(
+        [[x, 0], [0, -1]]),
+    "QubitState.pure": lambda x: QubitState.pure([x, 0]),
+    "QubitState vector": lambda x: QubitState(np.diag([1.0, 0.0]), vector=[x, 0]),
+}
+HOSTILE_COMPLEX = {"10**400": 10**400, "-10**5000": -(10**5000), "str": "x", "dict": {},
+                   "ragged": [1, 2]}
+
+
+@pytest.mark.parametrize("call, value", _cases(COMPLEX_ENTRIES, HOSTILE_COMPLEX))
+def test_an_entry_that_is_not_a_complex_number_is_named(call, value):
+    with pytest.raises(InvalidInputError, match=" must be complex numbers, got "):
+        call(value)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: as_operator(np.eye(3)), "expected a 2x2 operator, got shape (3, 3)"),
+    (lambda: as_operator([[math.nan, 0], [0, 1]]), "operator entries must be finite"),
+    (lambda: QubitState.pure([1, 0, 0]), "expected a 2-vector, got shape (3,)"),
+    (lambda: QubitState.pure([math.inf, 0]), "state amplitudes must be finite"),
+    (lambda: QubitState(np.diag([1.0, 0.0]), vector=[math.inf, 0]),
+     "state vector must be a finite 2-vector"),
+])
+def test_shape_and_finiteness_keep_their_messages(call, message):
+    with pytest.raises(InvalidInputError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+def test_pm_error_probabilities_checks_the_ranges():
+    with pytest.raises(InvalidInputError, match=r"^theta_deg must lie in \[0, 22.5\] degrees"):
+        pm_error_probabilities([99.0], 0.5)
+    with pytest.raises(InvalidInputError, match=r"^v_pm must lie in \[0, 1\]"):
+        pm_error_probabilities([1.0], 1.5)
 
 
 def test_resamples_are_capped_at_a_c_long_as_photons_are():
