@@ -31,11 +31,14 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 
 def _complex_array(entries, what: str) -> np.ndarray:
-    """``entries`` as a complex128 array; what numpy cannot convert is an InvalidInputError."""
+    """``entries`` as a complex128 array.  A string entry, which numpy would parse, and
+    what numpy cannot convert are an InvalidInputError."""
     try:
-        return np.array(entries, dtype=np.complex128)
+        if not any(isinstance(x, (str, bytes)) for x in np.array(entries, dtype=object).flat):
+            return np.array(entries, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):  # not a number, ragged, past the float range
-        raise InvalidInputError(f"{what} must be complex numbers, got {shown(entries)}") from None
+        pass
+    raise InvalidInputError(f"{what} must be complex numbers, got {shown(entries)}")
 
 
 def as_operator(entries) -> np.ndarray:

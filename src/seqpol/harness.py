@@ -13,10 +13,11 @@ NaN).  :func:`analytic_row`, :func:`monte_carlo_counts` and
 :func:`estimate_from_counts` are one-point views of these steps.  Each counting
 run draws from its own generator seeded by (seed, run index), so a point's
 counts do not depend on the grid around it.  Draws sum to ``n_photons`` by
-construction and a :class:`CountRecord` is checked once, when it is built, so
-the estimate step checks no totals.
+construction; a :class:`CountRecord` builds only if each run's frequencies ``k / n``,
+summed from 0.0 in outcome order, lie within the estimate step's ``PROBABILITY_SUM_TOL``.
 """
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Callable, Mapping, Sequence
@@ -55,6 +56,8 @@ BISECTION_TOL_DEG = 0.01
 # inputs, c(-1,-1) on H and V inputs at v_pm = 0) the noise stays below
 # 0.3 epsilon of the scale.
 NOISE_EPS = 8.0 * np.finfo(float).eps
+# How far a run's frequencies, summed from 0.0 in outcome order, may lie from one.
+PROBABILITY_SUM_TOL = 1e-9
 # numpy's multinomial draws take a C long, as photon numbers and as sample counts.
 _MAX_DRAWS = int(np.iinfo(np.int64).max)
 
@@ -126,8 +129,8 @@ def _estimate_columns(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square:
     todo = np.isnan(eigen)
     eigen[todo] = error_columns(p_m1[todo], c_m1[todo], mean_square, (1.0, -1.0),
                                 nonnegative).epsilon_sq
-    total = 0.0 + p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3]
-    if not (np.isfinite(p) & (p >= 0.0)).all() or (np.abs(total - 1.0) > 1e-9).any():
+    off_one = np.abs(0.0 + p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3] - 1.0) > PROBABILITY_SUM_TOL
+    if not (np.isfinite(p) & (p >= 0.0)).all() or off_one.any():
         raise InvalidInputError("outcome probabilities must be finite, >= 0 and sum to one")
     return np.array([theta, p_error, *p.T, *opt_m1.optimal.T, *opt_m1m2.optimal.T,
                      eigen, opt_m1.epsilon_sq, opt_m1m2.epsilon_sq], dtype=float)
@@ -184,7 +187,7 @@ def _bisect(f: Callable[[float], float], lo: float, hi: float, f_lo: float) -> f
     return 0.5 * (lo + hi)
 
 
-def _first_root(thetas: list[float], values: list[float], scales: list[float],
+def _first_root(thetas: np.ndarray, values: np.ndarray, scales: np.ndarray,
                 f: Callable[[float], float]) -> float | None:
     """First bracketed sign change of a curve sampled at ``thetas``, with noise ``scales``.
 
@@ -192,14 +195,13 @@ def _first_root(thetas: list[float], values: list[float], scales: list[float],
     skipped, so a curve that is zero up to rounding has no root.  The
     bracket is refined by bisection on ``f``.
     """
-    last = None
-    for theta, value, scale in zip(thetas, values, scales):
-        if abs(value) <= NOISE_EPS * scale:
-            continue
-        if last is not None and (value < 0.0) != (last[1] < 0.0):
-            return _bisect(f, last[0], theta, last[1])
-        last = (theta, value)
-    return None
+    kept = np.abs(values) > NOISE_EPS * scales
+    thetas, values = thetas[kept], values[kept]
+    flips = np.flatnonzero(np.diff(values < 0.0))
+    if not flips.size:
+        return None
+    i = flips[0]
+    return _bisect(f, float(thetas[i]), float(thetas[i + 1]), float(values[i]))
 
 
 def find_crossings(config: SweepConfig) -> list[Crossing]:
@@ -214,29 +216,21 @@ def find_crossings(config: SweepConfig) -> list[Crossing]:
     shares its zeros with the estimate difference.
     """
     state = make_linear_polarization(config.input_angle_deg)
-    # Both curves' values per strength: the grid in one stack, then each new
-    # bisection midpoint once.
-    values: dict[float, list[float]] = {}
 
-    def curves(thetas) -> tuple[list, list]:
-        """Both curves over ``thetas`` and their noise scales, each as two lists."""
+    def curves(thetas) -> tuple[np.ndarray, np.ndarray]:
+        """Both curves over ``thetas`` and their noise scales, as two ``(2, N)`` arrays."""
         ((p, c),) = _grid_terms(config, [state], thetas)
-        curve = np.stack([c[:, 3], c[:, 2] * p[:, 0] - c[:, 0] * p[:, 2]])
-        values.update(zip(thetas, curve.T.tolist()))
         gap_scale = np.abs(c[:, 2]) + p[:, 0] + np.abs(c[:, 0]) + p[:, 2]
-        return curve.tolist(), [[1.0] * len(c), gap_scale.tolist()]
+        return (np.stack([c[:, 3], c[:, 2] * p[:, 0] - c[:, 0] * p[:, 2]]),
+                np.stack([np.ones(len(c)), gap_scale]))
 
-    def value(theta: float, k: int) -> float:
-        if theta not in values:
-            curves((theta,))
-        return values[theta][k]
-
-    # The swap gap vanishes identically at zero strength, where the noise
-    # rule of _first_root skips it.
+    # The grid in one stack, then each new bisection midpoint once, for both curves.
+    midpoint = functools.cache(lambda theta: curves((theta,))[0][:, 0].tolist())
+    # The swap gap vanishes identically at zero strength, where _first_root skips it as noise.
     grid = sorted(config.theta_grid)
-    grid_values, scales = curves(grid)
-    return [Crossing(description, _first_root(grid, grid_values[k], scales[k],
-                                              lambda theta, k=k: value(theta, k)))
+    (values, scales), thetas = curves(grid), np.array(grid)
+    return [Crossing(description, _first_root(thetas, values[k], scales[k],
+                                              lambda theta, k=k: midpoint(theta)[k]))
             for k, description in enumerate((CROSSING_SIGN_FLIP, CROSSING_BRANCH_SWAP))]
 
 
@@ -303,17 +297,19 @@ class CountRecord:
         for name, value in (("input_angle_deg", angle), ("rng_seed", seed), ("n_photons", n)):
             object.__setattr__(self, name, value)
         for name in ("counts_psi", "counts_plus", "counts_minus"):
-            counts = dict(getattr(self, name))
+            # a numpy scalar as the Python number of its value, so k / n divides in float64
+            counts = {o: v.item() if isinstance(v, np.generic) else v
+                      for o, v in dict(getattr(self, name)).items()}
             if set(counts) != set(OUTCOMES):
                 raise InvalidInputError(f"{name} must cover exactly the four outcomes")
             if not all(real_number(v) is not None and v >= 0 for v in counts.values()):
                 raise InvalidInputError(f"{name} must be non-negative and finite")
             object.__setattr__(self, name, counts)
         for run, counts in self.runs().items():
-            # in outcome order as Python numbers, so int totals are exact at any size
-            total = np.array([counts[o] for o in OUTCOMES], dtype=object).sum()
-            if abs(total - n) > 1e-6 * max(1.0, n):
-                raise InvalidInputError(f"counts for run {run!r} sum to {total!r}, "
+            # in outcome order as Python numbers, so int totals and k / n are exact at any size
+            counts = np.array([counts[o] for o in OUTCOMES], dtype=object)
+            if abs((counts / n).astype(float).cumsum()[-1] - 1.0) > PROBABILITY_SUM_TOL:
+                raise InvalidInputError(f"counts for run {run!r} sum to {counts.sum()!r}, "
                                         f"expected n_photons={n}")
 
     def runs(self) -> dict[str, Mapping[tuple[int, int], float]]:

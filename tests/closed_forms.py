@@ -41,6 +41,7 @@ from seqpol.harness import (
     CROSSING_BRANCH_SWAP,
     CROSSING_SIGN_FLIP,
     NOISE_EPS,
+    PROBABILITY_SUM_TOL,
     Crossing,
     _estimate_columns,
     _estimate_table,
@@ -163,17 +164,20 @@ def oracle_stack_terms(state, effects, observable):
 def oracle_count_table(theta, input_angle_deg: float, n: int, counts):
     """The sweep table estimated from N count tables shaped (N, run, outcome), runs as in
     :meth:`CountRecord.runs`.  Counts stay Python numbers up to the division by
-    ``n``, so totals and frequencies are exact as in a scalar loop.  A symmetric
-    eigenstate confusion gives the eigenvalue-assignment error 4 p_error directly.
+    ``n``, so totals and frequencies are exact as in a scalar loop, and each run's
+    frequencies, summed from the left, must lie within ``PROBABILITY_SUM_TOL`` of
+    one.  A symmetric eigenstate confusion gives the eigenvalue-assignment error
+    4 p_error directly.
     """
     counts = np.asarray(counts, dtype=object)
-    totals = counts.sum(axis=2)
-    off = np.abs(totals - n) > 1e-6 * max(1.0, n)
+    frequencies = (counts / n).astype(float)
+    f = frequencies.transpose(2, 0, 1)
+    off = np.abs(0.0 + f[0] + f[1] + f[2] + f[3] - 1.0) > PROBABILITY_SUM_TOL
     if off.any():
         row, run = np.argwhere(off)[0]
         raise InvalidInputError(f"counts for run {('psi', 'plus', 'minus')[run]!r} sum to "
-                                f"{totals[row, run]!r}, expected n_photons={n}")
-    psi, plus, minus = (counts / n).astype(float).transpose(1, 0, 2)
+                                f"{counts[row, run].sum()!r}, expected n_photons={n}")
+    psi, plus, minus = frequencies.transpose(1, 0, 2)
     mean_a = math.sin(2.0 * math.radians(input_angle_deg))
     p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
     p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])

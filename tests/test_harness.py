@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from seqpol import (
@@ -30,7 +30,7 @@ from seqpol.harness import (
 from seqpol import harness
 from seqpol.instrument import OUTCOMES
 
-from closed_forms import oracle_find_crossings
+from closed_forms import _oracle_first_root, oracle_find_crossings
 from conftest import SQRT2, THETA_EDGES, V_HV_EDGES, V_PM_EDGES, with_edges
 
 # chi-square 99% quantile for three degrees of freedom
@@ -180,6 +180,43 @@ class TestFindCrossings:
     def test_equals_the_dict_scan(self, thetas, v_pm, v_hv, angle):
         config = SweepConfig(tuple(thetas), v_pm, v_hv, angle)
         assert repr(find_crossings(config)) == repr(oracle_find_crossings(config))
+
+
+@st.composite
+def scan_curves(draw):
+    """One to 50 sorted strengths with a value and a noise scale each: values at the
+    noise edge NOISE_EPS * scale, one ulp either side of it, signed zeros or random."""
+    thetas = sorted(draw(st.lists(st.floats(0.0, 22.5), min_size=1, max_size=50)))
+    values, scales = [], []
+    for _ in thetas:
+        scale = draw(st.one_of(st.sampled_from((0.0, 1.0)), st.floats(0.0, 1e3)))
+        edge = float(harness.NOISE_EPS * scale)
+        value = draw(st.one_of(
+            st.sampled_from((edge, math.nextafter(edge, math.inf), math.nextafter(edge, 0.0))),
+            st.sampled_from((0.0, -0.0)), st.floats(-1.0, 1.0)))
+        values.append(value * draw(st.sampled_from((1.0, -1.0))))
+        scales.append(scale)
+    return thetas, values, scales
+
+
+class TestFirstRoot:
+    @settings(max_examples=500, deadline=None)
+    @given(curve=scan_curves())
+    @example(curve=([1.0, 2.0, 3.0], [0.0, harness.NOISE_EPS, -0.0], [1.0, 1.0, 1.0]))
+    @example(curve=([1.0, 2.0, 3.0], [1.0, 0.0, -1.0], [1.0, 1.0, 1.0]))
+    @example(curve=([1.0, 2.0, 3.0, 4.0], [1.0, 1e-17, -1e-17, -1.0], [1.0, 1.0, 1.0, 1.0]))
+    def test_equals_the_loop_scan(self, curve):
+        # the same root and the same bisection calls of f, in the same order and types
+        def recording(calls):
+            return lambda theta: calls.append(theta) or float(hash(theta) % 5 - 2)
+
+        thetas, values, scales = curve
+        calls, oracle_calls = [], []
+        root = harness._first_root(np.array(thetas), np.array(values), np.array(scales),
+                                   recording(calls))
+        oracle_root = _oracle_first_root(zip(thetas, values, scales), recording(oracle_calls))
+        assert repr(root) == repr(oracle_root)
+        assert repr(calls) == repr(oracle_calls)
 
 
 def dict_of(crossings):
@@ -342,6 +379,19 @@ class TestEstimateFromCounts:
                 CountRecord(SetupParams(5.0), 67.5, 1000, 0, *runs)
             assert str(excinfo.value) == (
                 f"counts for run '{name}' sum to 4, expected n_photons=1000")
+
+    def test_a_record_that_builds_also_estimates(self):
+        # 1000.0005 lies within 1e-6 * n of n, but its frequencies sum to 1.0000005,
+        # which the estimate step rejects; a sum 1e-10 from one passes both
+        even = dict.fromkeys(OUTCOMES, 250)
+        with pytest.raises(InvalidInputError) as excinfo:
+            CountRecord(SetupParams(5.0), 67.5, 1000, 0, {**even, (1, 1): 250.0005}, even, even)
+        assert str(excinfo.value) == (
+            "counts for run 'psi' sum to 1000.0005, expected n_photons=1000")
+        record = CountRecord(SetupParams(5.0), 67.5, 1000, 0, {**even, (1, 1): 250 + 1e-7},
+                             even, even)
+        assert estimate_from_counts(record)["p_pp"] == (250 + 1e-7) / 1000
+        assert bootstrap_standard_errors(record, 20, 1)
 
     def test_record_rejects_photon_numbers_beyond_a_c_long(self):
         counts = {o: 2**61 for o in OUTCOMES}

@@ -122,15 +122,26 @@ COMPLEX_ENTRIES = {
         [[x, 0], [0, -1]]),
     "QubitState.pure": lambda x: QubitState.pure([x, 0]),
     "QubitState vector": lambda x: QubitState(np.diag([1.0, 0.0]), vector=[x, 0]),
+    "QubitState density": lambda x: QubitState([[x, 0], [0, 0]]),
 }
+# numpy would parse a numeric string or bytes entry as a number
 HOSTILE_COMPLEX = {"10**400": 10**400, "-10**5000": -(10**5000), "str": "x", "dict": {},
-                   "ragged": [1, 2]}
+                   "ragged": [1, 2], "numeric str": "1", "complex str": "1+0j", "bytes": b"1"}
 
 
 @pytest.mark.parametrize("call, value", _cases(COMPLEX_ENTRIES, HOSTILE_COMPLEX))
 def test_an_entry_that_is_not_a_complex_number_is_named(call, value):
     with pytest.raises(InvalidInputError, match=" must be complex numbers, got "):
         call(value)
+
+
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda: QubitState.pure(np.array(["1", "0"])), id="str array"),
+    pytest.param(lambda: QubitState(np.array([[b"1", b"0"], [b"0", b"0"]])), id="bytes array"),
+])
+def test_a_numpy_string_array_is_not_numbers(call):
+    with pytest.raises(InvalidInputError, match=" must be complex numbers, got "):
+        call()
 
 
 @pytest.mark.parametrize("call, message", [

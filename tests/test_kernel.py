@@ -46,7 +46,7 @@ from seqpol.algebra import (
 from seqpol.analysis import (P_FLOOR, calibrated_columns, error_columns, moments, stack_terms,
                              two_level_conditional_average)
 from seqpol.cli import main
-from seqpol.harness import SWEEP_COLUMNS
+from seqpol.harness import PROBABILITY_SUM_TOL, SWEEP_COLUMNS
 from seqpol.instrument import OUTCOMES, _check_effects, effect_stack
 
 from closed_forms import (
@@ -342,8 +342,8 @@ def test_count_division_equals_the_oracle(n):
 
 
 def test_count_past_2_53_divides_as_python():
-    # n is an exact float but the count 2**53 + 3, within the 1e-6 check of n, is
-    # not: as floats the frequency reads 1.0000000000000009, as k / n ...07
+    # n is an exact float but the count 2**53 + 3, within the frequency-sum check,
+    # is not: as floats the frequency reads 1.0000000000000009, as k / n ...07
     n = 2**53 - 3
     counts = np.array([[[n + 6, 0, 0, 0], [n - 5, 2, 2, 1], [n - 5, 2, 2, 1]]])
     message = _cells_or_error(_count_table, [8.0], 67.5, n, counts)
@@ -377,16 +377,20 @@ class TestCountTable:
     @staticmethod
     @st.composite
     def _records(draw):
-        """The arguments of hand-built records: each run's total within the 1e-6 check
-        of n, past it, or 2**64 past it, split into float counts or into Python ints,
-        which pass the int64 range near the top."""
+        """The arguments of hand-built records: each run's total within the frequency-sum
+        check of n, past it, or 2**64 past it, split into float counts or into Python ints,
+        which pass the int64 range near the top.  A float total also falls within twice
+        the check's slack, on either side of its edge."""
         n = draw(st.one_of(st.sampled_from(PHOTON_EDGES), st.integers(1, 2**63 - 1)))
-        slack = int(1e-6 * n)
+        slack = PROBABILITY_SUM_TOL * n
         runs = []
         as_floats = draw(st.one_of(st.just((False,) * 3), st.tuples(*[st.booleans()] * 3)))
         for as_float in as_floats:
-            total = n + draw(st.one_of(st.integers(-slack, slack), st.integers(-n, 2 * slack + 2),
-                                       st.just(2**64)))
+            offsets = [st.integers(-int(slack), int(slack)),
+                       st.integers(-n, 2 * int(slack) + 2), st.just(2**64)]
+            if as_float:
+                offsets.append(st.floats(-2 * slack, 2 * slack))
+            total = n + draw(st.one_of(*offsets))
             weights = draw(st.lists(st.integers(0, 2**20), min_size=4, max_size=4))
             if not any(weights):
                 weights[draw(st.integers(0, 3))] = 1
