@@ -42,7 +42,7 @@ import numpy as np
 from .algebra import (TAU_ALG, DichotomicObservable, PovmSet, QubitState, born_probability,
                       expectation, real_cross_correlation)
 from .exceptions import (DegenerateBranchError, InvalidInputError, UnresolvableOutcomeError,
-                         real_number, require_real, shown)
+                         require_real, require_reals, shown)
 
 # Below this probability an outcome is reported as unresolvable instead of
 # producing a huge finite estimate; divergent conditional averages are real
@@ -75,14 +75,8 @@ class ReconstructionConfig:
 
 
 def _require_probability(value, name: str):
-    """A real number as a float, or a float array, once every entry lies in [0, 1]."""
-    array = isinstance(value, np.ndarray)
-    values = np.asarray(value if array else real_number(value), dtype=float)
-    outside = values[~((values >= 0.0) & (values <= 1.0))]
-    if outside.size:
-        got = shown(float(outside[0]) if values.ndim else value)
-        raise InvalidInputError(f"{name} must be a probability in [0, 1], got {got}")
-    return values if values.ndim else float(values)
+    """A probability in [0, 1] as a float, or an array of them as a float64 array."""
+    return (require_reals if isinstance(value, np.ndarray) else require_real)(name, value, 0, 1)
 
 
 def variation_states(
@@ -296,9 +290,8 @@ def outcome_terms(
 
 
 def _calibrated_pairs(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi):
-    """The labels and :func:`calibrated_columns` of probability tables keyed by outcome, once
-    the tables share one outcome set, each eigenstate entry is a pair and each probability
-    is a number."""
+    """The labels and :func:`calibrated_columns` of probability tables keyed by outcome that
+    share one outcome set, with a (P(m|+), P(m|-)) pair and real numbers for each outcome."""
     if set(outcome_probs) != set(eigenstate_probs):
         raise InvalidInputError("probability tables must share one outcome set")
     values = [p_plus_psi, p_minus_psi]
@@ -309,12 +302,8 @@ def _calibrated_pairs(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi):
             raise InvalidInputError(f"outcome {label!r} needs a (P(m|+), P(m|-)) pair, "
                                     f"got {shown(eigenstate_probs[label])}") from None
         values += [p, given_plus, given_minus]
-    numbers = [real_number(value) for value in values]
-    if None in numbers:
-        raise InvalidInputError("a probability must be a number in [0, 1], "
-                                f"got {shown(values[numbers.index(None)])}")
-    columns = np.array(numbers[2:]).reshape(-1, 3).T
-    return tuple(outcome_probs), *calibrated_columns(*columns, *numbers[:2])
+    numbers = require_reals("a probability", values)
+    return tuple(outcome_probs), *calibrated_columns(*numbers[2:].reshape(-1, 3).T, *numbers[:2])
 
 
 def calibrated_columns(p, given_plus, given_minus, p_plus_psi, p_minus_psi):

@@ -29,6 +29,7 @@ from types import SimpleNamespace
 
 from .exceptions import InvalidInputError, SeqpolError, require_integer, require_real
 from .harness import (
+    _MAX_DRAWS,
     DEFAULT_INPUT_ANGLE_DEG,
     SweepConfig,
     Table,
@@ -63,7 +64,7 @@ _SETTINGS = {
     "crossings": _COMMON,
     "montecarlo": {
         **_COMMON,
-        "n_photons": (int, 1_000_000, 1, math.inf, "photons per counting run (default {})"),
+        "n_photons": (int, 1_000_000, 1, _MAX_DRAWS, "photons per counting run (default {})"),
         "seed": (int, 12345, 0, math.inf, "base RNG seed; grid point i uses seed + i"),
     },
     "reconstruct": {

@@ -2,10 +2,13 @@
 
 A real input is a ``numbers.Real`` that is finite as a float (a bool counts as 0 or 1, a
 numpy scalar by its value); an integer input is a ``numbers.Integral`` other than a bool.
+:func:`require_reals` is the real rule over a sequence or an array, entry by entry.
 """
 
 import math
 import numbers
+
+import numpy as np
 
 
 class SeqpolError(Exception):
@@ -56,6 +59,21 @@ def require_real(name: str, value, lo=-math.inf, hi=math.inf, unit: str = "") ->
     if not lo <= number <= hi:
         raise InvalidInputError(f"{name} must lie in [{lo}, {hi}]{unit}, got {shown(value)}")
     return number
+
+
+def require_reals(name: str, values, lo=-math.inf, hi=math.inf, unit: str = "") -> np.ndarray:
+    """A sequence or an array as a float64 array of its shape, by :func:`require_real` per entry."""
+    array = isinstance(values, np.ndarray)
+    if array and values.dtype.kind in "biuf":  # bool, int and float arrays in one step
+        floats = np.asarray(values, dtype=float)
+    else:  # entry by entry, an array's entries as Python values
+        entries = values.ravel().tolist() if array else values
+        floats = np.array([v if type(v) is float else real_number(v) for v in entries], float)
+    ok = np.isfinite(floats) & (floats >= lo) & (floats <= hi)
+    if not ok.all():  # the first bad entry in flat order raises, named by its Python value
+        first = int(ok.argmin())
+        require_real(name, values.item(first) if array else values[first], lo, hi, unit)
+    return floats.reshape(values.shape) if array else floats
 
 
 def require_integer(name: str, value, least: int, most=math.inf) -> int:

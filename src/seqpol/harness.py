@@ -13,8 +13,10 @@ NaN).  :func:`analytic_row`, :func:`monte_carlo_counts` and
 :func:`estimate_from_counts` are one-point views of these steps.  Each counting
 run draws from its own generator seeded by (seed, run index), so a point's
 counts do not depend on the grid around it.  Draws sum to ``n_photons`` by
-construction; a :class:`CountRecord` builds only if each run's frequencies ``k / n``,
-summed from 0.0 in outcome order, lie within the estimate step's ``PROBABILITY_SUM_TOL``.
+construction; a :class:`CountRecord` builds only if its counts pass the frequency
+checks of the count estimate: each run's frequencies ``k / n``, summed from 0.0 in
+outcome order, lie within ``PROBABILITY_SUM_TOL`` of one, and every probability formed
+from them lies in [0, 1].
 """
 
 import functools
@@ -36,7 +38,7 @@ from .analysis import (
     symmetric_confusion,
     variation_states,
 )
-from .exceptions import InvalidInputError, real_number, require_integer, require_real
+from .exceptions import InvalidInputError, require_integer, require_real, require_reals
 from .instrument import (
     OUTCOMES,
     SetupParams,
@@ -101,13 +103,13 @@ class SweepConfig:
     input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG
 
     def __post_init__(self):
-        grid = tuple(self.theta_grid)
-        if not grid:
+        grid = self.theta_grid if isinstance(self.theta_grid, np.ndarray) else tuple(self.theta_grid)
+        if not len(grid):
             raise InvalidInputError("theta_grid needs at least one strength setting")
         _require_thetas(grid[:1])  # the first setting, then the visibilities, then the rest
         for name in ("v_pm", "v_hv"):
             object.__setattr__(self, name, require_real(name, getattr(self, name), 0, 1))
-        object.__setattr__(self, "theta_grid", tuple(_require_thetas(grid)))
+        object.__setattr__(self, "theta_grid", tuple(_require_thetas(grid).tolist()))
         object.__setattr__(self, "input_angle_deg",
                            require_real("input_angle_deg", self.input_angle_deg))
 
@@ -302,18 +304,18 @@ class CountRecord:
                       for o, v in dict(getattr(self, name)).items()}
             if set(counts) != set(OUTCOMES):
                 raise InvalidInputError(f"{name} must cover exactly the four outcomes")
-            if not all(real_number(v) is not None and v >= 0 for v in counts.values()):
-                raise InvalidInputError(f"{name} must be non-negative and finite")
+            require_reals(name, [counts[o] for o in OUTCOMES], 0, math.inf)
             object.__setattr__(self, name, counts)
-        for run, counts in self.runs().items():
-            # in outcome order as Python numbers, so int totals and k / n are exact at any size
-            counts = np.array([counts[o] for o in OUTCOMES], dtype=object)
-            if abs((counts / n).astype(float).cumsum()[-1] - 1.0) > PROBABILITY_SUM_TOL:
-                raise InvalidInputError(f"counts for run {run!r} sum to {counts.sum()!r}, "
-                                        f"expected n_photons={n}")
+        _count_frequencies(angle, n, self._counts())
 
     def runs(self) -> dict[str, Mapping[tuple[int, int], float]]:
         return {"psi": self.counts_psi, "plus": self.counts_plus, "minus": self.counts_minus}
+
+    def _counts(self) -> np.ndarray:
+        """The counts as a (1, run, outcome) object array, Python numbers in outcome order,
+        so int totals and ``k / n`` are exact at any size."""
+        return np.array([[[run[o] for o in OUTCOMES] for run in self.runs().values()]],
+                        dtype=object)
 
 
 def _draw_counts(config: SweepConfig, n_photons: int, seed: int) -> np.ndarray:
@@ -341,17 +343,29 @@ def monte_carlo_counts(setup: SetupParams, input_angle_deg: float, n_photons: in
                        *(dict(zip(OUTCOMES, counts)) for counts in runs))
 
 
-def _count_columns(theta, input_angle_deg: float, n: int, counts: np.ndarray) -> np.ndarray:
-    """The estimate columns of N count tables shaped (N, run, outcome), runs as in
-    :meth:`CountRecord.runs`: int64 draws or a record's numbers as objects, with totals
-    checked where they enter, divided exactly as Python ``k / n``.  A symmetric
-    eigenstate confusion gives eps_eigen 4 p_error."""
+def _count_frequencies(input_angle_deg: float, n: int, counts: np.ndarray):
+    """P, c, the mean eigenstate error and its symmetry flag of N count tables shaped
+    (N, run, outcome), runs as in :meth:`CountRecord.runs`: int64 draws or a record's
+    numbers as objects, divided exactly as Python ``k / n``.  Each run's frequencies,
+    summed from 0.0 in outcome order, must lie within ``PROBABILITY_SUM_TOL`` of one."""
     # Counts and n up to 2**53 are exact floats, so numpy's quotient is Python's k / n
     frequencies = (counts if max(n, counts.max()) <= 2**53 else counts.astype(object)) / n
-    psi, plus, minus = frequencies.astype(float).transpose(1, 0, 2)
+    frequencies = frequencies.astype(float)
+    off_one = np.abs(frequencies.cumsum(axis=-1)[..., -1] - 1.0) > PROBABILITY_SUM_TOL
+    if off_one.any():
+        row, run = np.argwhere(off_one)[0]
+        raise InvalidInputError(f"counts for run {('psi', 'plus', 'minus')[run]!r} sum to "
+                                f"{counts[row, run].sum()!r}, expected n_photons={n}")
+    psi, plus, minus = frequencies.transpose(1, 0, 2)
     mean_a = math.sin(2.0 * math.radians(input_angle_deg))
     p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
-    p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
+    return p, c, *symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
+
+
+def _count_columns(theta, input_angle_deg: float, n: int, counts: np.ndarray) -> np.ndarray:
+    """The estimate columns of N count tables from :func:`_count_frequencies`.  A symmetric
+    eigenstate confusion gives eps_eigen 4 p_error."""
+    p, c, p_error, symmetric = _count_frequencies(input_angle_deg, n, counts)
     # Sampling noise can push plug-in errors slightly negative: no sign check.
     return _estimate_columns(theta, p_error, p, c, 1.0, nonnegative=False,
                              eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan))
@@ -374,10 +388,8 @@ def estimate_from_counts(record: CountRecord) -> dict:
     view of the count table: the record, consistent since it was built,
     gives its counts as one object array, divided as Python ``k / n``.
     """
-    counts = np.array([[[run[o] for o in OUTCOMES] for run in record.runs().values()]],
-                      dtype=object)
     table = _estimate_table(_count_columns([record.setup.theta_deg], record.input_angle_deg,
-                                           record.n_photons, counts))
+                                           record.n_photons, record._counts()))
     return {key: cells[0] for key, cells in table.items()}
 
 

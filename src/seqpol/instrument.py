@@ -50,7 +50,7 @@ from .algebra import (
     QubitState,
     born_probability,
 )
-from .exceptions import InvalidInputError, real_number, require_real
+from .exceptions import InvalidInputError, require_real, require_reals
 
 V_PM_DEFAULT = 0.93
 V_HV_DEFAULT = 0.9976
@@ -65,13 +65,10 @@ _M2_PARTNER = [1, 0, 3, 2]
 _SQRT2 = math.sqrt(2.0)
 
 
-def _require_thetas(theta_grid: Sequence[float]) -> list[float]:
-    """Strength settings as floats, checked as one array; the first bad one raises."""
-    values = np.array([t if type(t) is float else real_number(t) for t in theta_grid], float)
-    bad = ~((values >= 0.0) & (values <= THETA_MAX_DEG))
-    if bad.any():
-        require_real("theta_deg", theta_grid[int(bad.argmax())], 0, THETA_MAX_DEG, " degrees")
-    return values.tolist()
+def _require_thetas(theta_grid: Sequence[float]) -> np.ndarray:
+    """Strength settings as a float64 array; each row of a 2-D grid is one entry, not a number."""
+    grid = theta_grid if getattr(theta_grid, "ndim", 1) == 1 else list(theta_grid)
+    return require_reals("theta_deg", grid, 0, THETA_MAX_DEG, " degrees")
 
 
 def _require_outcome(outcome) -> tuple[int, int]:
@@ -93,9 +90,9 @@ class SetupParams:
     v_hv: float = V_HV_DEFAULT
 
     def __post_init__(self):
-        object.__setattr__(self, "theta_deg", _require_thetas((self.theta_deg,))[0])
-        for name in ("v_pm", "v_hv"):
-            object.__setattr__(self, name, require_real(name, getattr(self, name), 0, 1))
+        for name, hi, unit in (("theta_deg", THETA_MAX_DEG, " degrees"), ("v_pm", 1, ""),
+                               ("v_hv", 1, "")):
+            object.__setattr__(self, name, require_real(name, getattr(self, name), 0, hi, unit))
 
 
 @dataclass(frozen=True)
@@ -129,9 +126,8 @@ def effect_stack(theta_grid: Sequence[float], v_pm: float, v_hv: float) -> np.nd
     both, and for symmetry, before it is returned.
     """
     v_pm, v_hv = require_real("v_pm", v_pm, 0, 1), require_real("v_hv", v_hv, 0, 1)
-    two_theta = [math.radians(2.0 * theta_deg) for theta_deg in _require_thetas(theta_grid)]
-    c = np.array([math.cos(x) for x in two_theta])
-    s = np.array([math.sin(x) for x in two_theta])
+    two_theta = np.radians(2.0 * _require_thetas(theta_grid))
+    c, s = np.cos(two_theta), np.sin(two_theta)
     # (m2 = +1): (c, m1 s); (m2 = -1): (s, m1 c), in OUTCOMES order.  Times the reciprocal,
     # not / _SQRT2: numpy divides a complex array by a real one so, as the oracle did.
     vectors = np.stack([c, s, s, c, c, -s, s, -c], axis=-1).reshape(-1, 4, 2) * (1.0 / _SQRT2)
@@ -187,8 +183,7 @@ def pm_error_probabilities(theta_grid: Sequence[float], v_pm: float) -> list[flo
     P-polarized input.
     """
     v_pm = require_real("v_pm", v_pm, 0, 1)
-    return [0.5 * (1.0 - v_pm * math.sin(math.radians(4.0 * theta)))
-            for theta in _require_thetas(theta_grid)]
+    return (0.5 * (1.0 - v_pm * np.sin(np.radians(4.0 * _require_thetas(theta_grid))))).tolist()
 
 
 def pm_error_probability(params: SetupParams) -> float:

@@ -567,7 +567,7 @@ def test_edge_inputs_give_rows_or_one_error_line(command, angle, capsys):
     (["montecarlo", "--input-angle=-1e308", "--n-photons", "1000"], 0),
     (["reconstruct", "--lam=1e200"], 1),
     (["reconstruct", "--lam=-1e200"], 1),
-    (["montecarlo", "--n-photons", "9223372036854775808"], 1),
+    (["montecarlo", "--n-photons", "9223372036854775808"], 2),
     (["reconstruct", "--lam", "1e12"], 1),
     (["reconstruct", "--lam", "1.3e154"], 1),
     (["reconstruct", "--lam", "1e-12"], 1),
@@ -580,6 +580,14 @@ def test_extreme_inputs_give_rows_or_one_error_line(argv, expected_status, capsy
     status = main(argv)
     assert_rows_or_one_error_line(argv, status, capsys.readouterr())
     assert status == expected_status
+
+
+def test_n_photons_stops_where_the_library_draws(capsys):
+    # the C long of numpy's multinomial draws, as a usage error that names the flag
+    assert parse_config(["montecarlo", "--n-photons", str(2**63 - 1)]).n_photons == 2**63 - 1
+    assert main(["montecarlo", "--theta", "5", "--n-photons", str(2**63)]) == 2
+    assert capsys.readouterr().err == (
+        "error: --n-photons must lie in [1, 9223372036854775807], got 9223372036854775808\n")
 
 
 @pytest.mark.parametrize("content", [

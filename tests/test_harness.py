@@ -393,6 +393,21 @@ class TestEstimateFromCounts:
         assert estimate_from_counts(record)["p_pp"] == (250 + 1e-7) / 1000
         assert bootstrap_standard_errors(record, 20, 1)
 
+    @pytest.mark.parametrize("run, counts, message", [
+        ("psi", {(1, 1): 1000.0000001}, "P(m) must lie in [0, 1], got 1.0000000001"),
+        ("plus", {(-1, 1): 500.0000001, (-1, -1): 500},
+         "p_flip_plus must lie in [0, 1], got 1.0000000001"),
+    ])
+    def test_a_record_fails_where_its_estimate_would(self, run, counts, message):
+        # each run's frequencies sum to within 1e-9 of one, but a probability formed
+        # from them lies past one, which the estimate step rejects
+        even = dict.fromkeys(OUTCOMES, 250)
+        runs = {"psi": even, "plus": even, "minus": even,
+                run: {**dict.fromkeys(OUTCOMES, 0), **counts}}
+        with pytest.raises(InvalidInputError) as excinfo:
+            CountRecord(SetupParams(5.0), 67.5, 1000, 0, *runs.values())
+        assert str(excinfo.value) == message
+
     def test_record_rejects_photon_numbers_beyond_a_c_long(self):
         counts = {o: 2**61 for o in OUTCOMES}
         with pytest.raises(InvalidInputError, match="n_photons"):
@@ -423,13 +438,21 @@ class TestEstimateFromCounts:
         with pytest.raises(InvalidInputError, match=f"^{field} must be"):
             CountRecord(**{**arguments, field: value})
 
-    @pytest.mark.parametrize("count", ["2.5", None, 2.5j, [1], -1, math.nan, math.inf,
-                                       pytest.param(10**400, id="10**400")])
-    def test_record_rejects_a_count_that_is_not_a_finite_number(self, count):
+    @pytest.mark.parametrize("count, got", [
+        pytest.param(count, got, id=name) for name, count, got in [
+            ("2.5", "2.5", "must be finite, got '2.5'"), ("None", None, "must be finite, got None"),
+            ("2.5j", 2.5j, "must be finite, got 2.5j"), ("count3", [1], "must be finite, got [1]"),
+            ("-1", -1, "must lie in [0, inf], got -1"), ("nan", math.nan, "must be finite, got nan"),
+            ("inf", math.inf, "must be finite, got inf"),
+            ("10**400", 10**400, f"must be finite, got {10**400}"),
+        ]
+    ])
+    def test_record_rejects_a_count_that_is_not_a_finite_number(self, count, got):
         counts = dict.fromkeys(OUTCOMES, 250)
-        with pytest.raises(InvalidInputError, match="^counts_minus must be non-negative and finite"):
+        with pytest.raises(InvalidInputError) as excinfo:
             CountRecord(SetupParams(5.0), 67.5, 1000, 0, counts, counts,
                         {**counts, OUTCOMES[0]: count})
+        assert str(excinfo.value) == f"counts_minus {got}"
 
     def test_record_keeps_python_and_numpy_counts(self):
         counts = dict(zip(OUTCOMES, [np.int64(1), np.float32(2.0), 3.0, True]))

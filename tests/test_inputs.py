@@ -4,14 +4,18 @@ A value that is not a finite real number (or, for a count of draws or a
 seed, not an integer; for an operator or state entry, not a complex number)
 ends in an ``InvalidInputError``, never in a bare
 ``OverflowError``, ``ValueError`` or ``TypeError``, and a numpy scalar counts
-as the Python number of its value.
+as the Python number of its value.  A sequence or an array follows the real
+rule entry by entry, and its first bad entry is named.
 """
 
 import dataclasses
 import math
 
+import hypothesis.extra.numpy as hnp
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from seqpol import (
     CountRecord,
@@ -30,7 +34,9 @@ from seqpol import (
     two_level_ozawa_error,
 )
 from seqpol.algebra import as_operator
-from seqpol.analysis import calibrated_columns, conditional_average, symmetric_error_probability
+from seqpol.analysis import (calibrated_columns, conditional_average, symmetric_confusion,
+                             symmetric_error_probability)
+from seqpol.exceptions import require_real, require_reals
 from seqpol.instrument import OUTCOMES, OutcomeDistribution, effect_stack, pm_error_probabilities
 
 # By test id.  10**400 and -10**5000 lie past the float range, and repr fails on the second.
@@ -219,3 +225,109 @@ def test_an_eigenstate_entry_that_is_not_a_pair_names_its_outcome(eigenstate_pro
         with pytest.raises(InvalidInputError,
                            match=r"^outcome 1 needs a \(P\(m\|\+\), P\(m\|-\)\) pair, got "):
             call()
+
+
+# Two-entry inputs with one bad entry, by test id: the input, the bad entry as an array
+# names it (by its Python value) and as a table holds it.
+ARRAY_INPUTS = {
+    "str array": (np.array(["0.5", "0.25"]), "'0.5'", "np.str_('0.5')"),
+    "object array holding a str": (np.array([0.5, "0.25"], dtype=object), "'0.25'", "'0.25'"),
+    "complex array": (np.array([0.5, 0.25j]), "(0.5+0j)", "np.complex128(0.5+0j)"),
+    "nan": (np.array([0.5, math.nan]), "nan", "np.float64(nan)"),
+    "inf": (np.array([0.5, math.inf]), "inf", "np.float64(inf)"),
+    "-inf": (np.array([0.5, -math.inf]), "-inf", "np.float64(-inf)"),
+    "out of range": (np.array([0.5, -1.0]), "-1.0", "np.float64(-1.0)"),
+    "None in a sequence": ([0.5, None], "None", "None"),
+}
+PAIR = np.array([0.5, 0.5])
+
+
+def _table(values):
+    return {1: values[0], -1: values[1]}
+
+
+# By entry: the call on a two-entry input, the name of a non-finite entry, the message
+# of an entry out of range, and how the bad entry is named: "array" by the rule of arrays,
+# "table" as the table holds it, "number" as an array, with a sequence one number.
+ARRAY_ENTRIES = {
+    "effect_stack": (lambda v: effect_stack(v, 0.93, 0.9976), "theta_deg",
+                     "theta_deg must lie in [0, 22.5] degrees", "array"),
+    "pm_error_probabilities": (lambda v: pm_error_probabilities(v, 0.93), "theta_deg",
+                               "theta_deg must lie in [0, 22.5] degrees", "array"),
+    "SweepConfig": (SweepConfig, "theta_deg", "theta_deg must lie in [0, 22.5] degrees", "array"),
+    "calibrated_columns": (lambda v: calibrated_columns(v, PAIR, PAIR, 0.5, 0.5), "P(m)",
+                           "P(m) must lie in [0, 1]", "number"),
+    "reconstruct_correlation": (lambda v: reconstruct_correlation(
+        v, PAIR, 0.0, 1.0, ReconstructionConfig(1.0)), "p_plus", "p_plus must lie in [0, 1]",
+        "number"),
+    "symmetric_confusion": (lambda v: symmetric_confusion(v, PAIR), "p_flip_plus",
+                            "p_flip_plus must lie in [0, 1]", "number"),
+    "two_level_optimal_error": (lambda v: two_level_optimal_error(
+        _table(v), EIGENSTATE, 0.5, 0.5), "a probability", "P(m) must lie in [0, 1]", "table"),
+    "two_level_ozawa_error": (lambda v: two_level_ozawa_error(
+        _table(v), EIGENSTATE, 0.5, 0.5, EstimateTable({1: 1.0, -1: -1.0})), "a probability",
+        "P(m) must lie in [0, 1]", "table"),
+    "CountRecord counts": (lambda v: _record(counts_plus={**COUNTS, (1, 1): v[0], (1, -1): v[1]}),
+                           "counts_plus", "counts_plus must lie in [0, inf]", "array"),
+}
+
+
+def _array_cases() -> list:
+    cases = []
+    for entry, (call, name, out_of_range, naming) in ARRAY_ENTRIES.items():
+        for label, (values, as_array, as_held) in ARRAY_INPUTS.items():
+            got = as_held if naming == "table" else as_array
+            if naming == "number" and isinstance(values, list):
+                got = repr(values)
+            message = (f"{out_of_range}, got -1.0" if label == "out of range"
+                       else f"{name} must be finite, got {got}")
+            cases.append(pytest.param(call, values, message, id=f"{entry}-{label}"))
+    return cases
+
+
+@pytest.mark.parametrize("call, values, message", _array_cases())
+def test_a_sequence_or_array_names_its_first_bad_entry(call, values, message):
+    with pytest.raises(InvalidInputError) as excinfo:
+        call(values)
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("call", [ARRAY_ENTRIES[entry][0] for entry in (
+    "effect_stack", "pm_error_probabilities", "SweepConfig")])
+def test_a_strength_grid_has_one_dimension(call):
+    with pytest.raises(InvalidInputError) as excinfo:
+        call(np.array([[1.0, 2.0]]))
+    assert str(excinfo.value) == "theta_deg must be finite, got array([1., 2.])"
+
+
+# What a real input may be handed: numbers of every kind, and what is not a real number.
+ANY_VALUE = st.one_of(
+    st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=3),
+    st.complex_numbers(), st.just(10**400), st.floats(width=32).map(np.float32),
+    st.integers(-(2**63), 2**63 - 1).map(np.int64),
+)
+NUMERIC_ARRAYS = hnp.arrays(
+    st.sampled_from([np.bool_, np.int8, np.int64, np.uint64, np.float16, np.float32, np.float64]),
+    hnp.array_shapes(min_dims=0, max_dims=3, min_side=0, max_side=4))
+BOUNDS = st.sampled_from([(-math.inf, math.inf), (0, 1), (0, 22.5), (0, math.inf), (-1.5, 0.0)])
+
+
+@settings(max_examples=400, deadline=None)
+@given(values=st.one_of(st.lists(ANY_VALUE, max_size=6), NUMERIC_ARRAYS), bounds=BOUNDS)
+def test_the_array_rule_is_the_real_rule_entry_by_entry(values, bounds):
+    entries = values.ravel().tolist() if isinstance(values, np.ndarray) else values
+    expected = []
+    for value in entries:
+        try:
+            expected.append(require_real("x", value, *bounds))
+        except InvalidInputError as exc:
+            expected = str(exc)
+            break
+    try:
+        result = require_reals("x", values, *bounds)
+    except InvalidInputError as exc:
+        assert str(exc) == expected
+    else:
+        shape = values.shape if isinstance(values, np.ndarray) else (len(values),)
+        assert result.dtype == np.float64 and result.shape == shape
+        assert result.ravel().tolist() == expected

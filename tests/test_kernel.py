@@ -47,7 +47,7 @@ from seqpol.analysis import (P_FLOOR, calibrated_columns, error_columns, moments
                              two_level_conditional_average)
 from seqpol.cli import main
 from seqpol.harness import PROBABILITY_SUM_TOL, SWEEP_COLUMNS
-from seqpol.instrument import OUTCOMES, _check_effects, effect_stack
+from seqpol.instrument import OUTCOMES, _check_effects, effect_stack, pm_error_probabilities
 
 from closed_forms import (
     oracle_count_table,
@@ -95,6 +95,14 @@ class TestEffectStack:
             povm = PovmSet(tuple(PovmElement(o, op) for o, op in zip(OUTCOMES, effects[n])))
             assert validate_povm(povm).passed
             assert min(hermitian_eigenvalues(op)[0] for op in effects[n]) >= -1e-15
+
+    @settings(max_examples=200, deadline=None)
+    @given(thetas=st.lists(with_edges(THETA_EDGES, 0.0, 22.5), min_size=1, max_size=20),
+           v_pm=with_edges(V_PM_EDGES, 0.0, 1.0))
+    def test_pm_error_probabilities_equal_the_scalar_formula(self, thetas, v_pm):
+        # numpy's radians and sin over the grid give the bits of the math calls
+        assert pm_error_probabilities(thetas, v_pm) == [
+            0.5 * (1.0 - v_pm * math.sin(math.radians(4.0 * theta))) for theta in thetas]
 
     def test_is_read_only(self):
         effects = effect_stack((3.0,), 0.93, 0.9976)
@@ -348,7 +356,7 @@ def test_count_past_2_53_divides_as_python():
     counts = np.array([[[n + 6, 0, 0, 0], [n - 5, 2, 2, 1], [n - 5, 2, 2, 1]]])
     message = _cells_or_error(_count_table, [8.0], 67.5, n, counts)
     assert message == _cells_or_error(oracle_count_table, [8.0], 67.5, n, counts.tolist())
-    assert message == "P(m) must be a probability in [0, 1], got 1.0000000000000007"
+    assert message == "P(m) must lie in [0, 1], got 1.0000000000000007"
 
 
 class TestCountTable:
@@ -477,13 +485,13 @@ class TestCalibratedViews:
         label = data.draw(st.sampled_from(list(outcome_probs)))
         given_plus, given_minus = eigenstate_probs[label]
         if spot == "psi":
-            outcome_probs[label] = repr(outcome_probs[label])
+            outcome_probs[label] = text = repr(outcome_probs[label])
         elif spot == "plus":
-            eigenstate_probs[label] = (repr(given_plus), given_minus)
+            eigenstate_probs[label] = (text := repr(given_plus), given_minus)
         elif spot == "minus":
-            eigenstate_probs[label] = (given_plus, repr(given_minus))
+            eigenstate_probs[label] = (given_plus, text := repr(given_minus))
         else:
-            p_plus_psi = repr(p_plus_psi)
+            p_plus_psi = text = repr(p_plus_psi)
         table = EstimateTable(dict.fromkeys(outcome_probs, 1.0))
         calls = [
             lambda: two_level_optimal_error(outcome_probs, eigenstate_probs, p_plus_psi,
@@ -494,8 +502,9 @@ class TestCalibratedViews:
                                                   p_minus_psi, outcome_probs[label]),
         ]
         for call in calls:
-            with pytest.raises(InvalidInputError, match="^a probability must be a number"):
+            with pytest.raises(InvalidInputError) as excinfo:
                 call()
+            assert str(excinfo.value) == f"a probability must be finite, got {text!r}"
 
 
 def _oracle_terms(theta, angle=67.5, v_pm=0.93, v_hv=0.9976):
