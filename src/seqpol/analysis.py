@@ -49,8 +49,13 @@ from .exceptions import (DegenerateBranchError, InvalidInputError, UnresolvableO
 # physics, but feeding them onward would be numerically meaningless.
 P_FLOOR = 1e-9
 
-# Tolerance for the error-decomposition identity carried by every report.
+# Tolerance for the error-decomposition identity carried by every report: this floor,
+# plus DECOMPOSITION_ROUNDING times the sum of the magnitudes of the three terms.
+# Over K outcomes, the roundings of the assignments, the products, the running sums
+# and the recomposition add up to at most (6 K + 17) / 2 epsilon of that sum, 20.5
+# at four outcomes; 32 covers up to seven.
 DECOMPOSITION_TOL = 1e-9
+DECOMPOSITION_ROUNDING = 32.0 * np.finfo(float).eps
 
 # Entries of a quasi-probability table below this count as genuinely negative.
 NEGATIVITY_TOL = 1e-10
@@ -221,7 +226,9 @@ class ErrorReport:
 
         epsilon_sq = mean_square - estimate_variance + residual
 
-    within ``DECOMPOSITION_TOL``; construction fails otherwise.
+    within ``DECOMPOSITION_TOL`` plus ``DECOMPOSITION_ROUNDING`` times
+    ``|mean_square| + |estimate_variance| + |residual|``, the rounding of terms
+    that large; construction fails otherwise.
     ``estimate_variance`` sums (correlation^2 / probability) over resolvable
     outcomes and ``residual`` collects the squared deviation of the actual
     assignments from the optimal ones.  Outcomes whose probability is at or
@@ -245,7 +252,10 @@ class ErrorReport:
 def _check_decomposition(epsilon_sq, mean_square, estimate_variance, residual, excluded) -> None:
     """The checks of :class:`ErrorReport` over arrays of reports; non-finite values raise."""
     recomposed = mean_square - estimate_variance + residual
-    unreconciled = ~np.isfinite(epsilon_sq) | (np.abs(epsilon_sq - recomposed) > DECOMPOSITION_TOL)
+    scale = np.abs(mean_square) + np.abs(estimate_variance) + np.abs(residual)
+    bound = DECOMPOSITION_TOL + DECOMPOSITION_ROUNDING * scale
+    unreconciled = (~np.isfinite(epsilon_sq) | ~np.isfinite(scale)
+                    | (np.abs(epsilon_sq - recomposed) > bound))
     if unreconciled.any():
         n = np.argmax(unreconciled)
         raise InvalidInputError("error decomposition does not reconcile: epsilon_sq="

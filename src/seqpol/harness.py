@@ -13,10 +13,9 @@ NaN).  :func:`analytic_row`, :func:`monte_carlo_counts` and
 :func:`estimate_from_counts` are one-point views of these steps.  Each counting
 run draws from its own generator seeded by (seed, run index), so a point's
 counts do not depend on the grid around it.  Draws sum to ``n_photons`` by
-construction; a :class:`CountRecord` builds only if its counts pass the frequency
-checks of the count estimate: each run's frequencies ``k / n``, summed from 0.0 in
-outcome order, lie within ``PROBABILITY_SUM_TOL`` of one, and every probability formed
-from them lies in [0, 1].
+construction, and a :class:`CountRecord` takes only integer counts >= 0 whose
+runs each sum exactly to ``n_photons``.  So each frequency ``k / n`` lies in [0, 1]
+and every probability formed from them passes the estimate's checks.
 """
 
 import functools
@@ -38,9 +37,10 @@ from .analysis import (
     symmetric_confusion,
     variation_states,
 )
-from .exceptions import InvalidInputError, require_integer, require_real, require_reals
+from .exceptions import InvalidInputError, require_integer, require_real, shown
 from .instrument import (
     OUTCOMES,
+    PROBABILITY_SUM_TOL,
     SetupParams,
     V_HV_DEFAULT,
     V_PM_DEFAULT,
@@ -58,8 +58,6 @@ BISECTION_TOL_DEG = 0.01
 # inputs, c(-1,-1) on H and V inputs at v_pm = 0) the noise stays below
 # 0.3 epsilon of the scale.
 NOISE_EPS = 8.0 * np.finfo(float).eps
-# How far a run's frequencies, summed from 0.0 in outcome order, may lie from one.
-PROBABILITY_SUM_TOL = 1e-9
 # numpy's multinomial draws take a C long, as photon numbers and as sample counts.
 _MAX_DRAWS = int(np.iinfo(np.int64).max)
 
@@ -279,16 +277,17 @@ def run_lgi(config: SweepConfig) -> Table:
 
 @dataclass(frozen=True)
 class CountRecord:
-    """Per-outcome photon counts for the input-state run and the two
-    eigenstate calibration runs, plus everything needed to reproduce them."""
+    """Per-outcome photon counts for the input-state run and the two eigenstate
+    calibration runs, ints >= 0 summing to ``n_photons`` in each run, plus
+    everything needed to reproduce them."""
 
     setup: SetupParams
     input_angle_deg: float
     n_photons: int
     rng_seed: int
-    counts_psi: Mapping[tuple[int, int], float]
-    counts_plus: Mapping[tuple[int, int], float]
-    counts_minus: Mapping[tuple[int, int], float]
+    counts_psi: Mapping[tuple[int, int], int]
+    counts_plus: Mapping[tuple[int, int], int]
+    counts_minus: Mapping[tuple[int, int], int]
 
     def __post_init__(self):
         if not isinstance(self.setup, SetupParams):
@@ -299,23 +298,25 @@ class CountRecord:
         for name, value in (("input_angle_deg", angle), ("rng_seed", seed), ("n_photons", n)):
             object.__setattr__(self, name, value)
         for name in ("counts_psi", "counts_plus", "counts_minus"):
-            # a numpy scalar as the Python number of its value, so k / n divides in float64
-            counts = {o: v.item() if isinstance(v, np.generic) else v
-                      for o, v in dict(getattr(self, name)).items()}
+            counts = dict(getattr(self, name))
             if set(counts) != set(OUTCOMES):
                 raise InvalidInputError(f"{name} must cover exactly the four outcomes")
-            require_reals(name, [counts[o] for o in OUTCOMES], 0, math.inf)
+            counts = {o: require_integer(name, counts[o], 0) for o in OUTCOMES}
             object.__setattr__(self, name, counts)
-        _count_frequencies(angle, n, self._counts())
+        for run, counts in self.runs().items():
+            total = sum(counts.values())
+            if total != n:
+                raise InvalidInputError(
+                    f"counts for run {run!r} sum to {shown(total)}, expected n_photons={n}")
 
-    def runs(self) -> dict[str, Mapping[tuple[int, int], float]]:
+    def runs(self) -> dict[str, Mapping[tuple[int, int], int]]:
         return {"psi": self.counts_psi, "plus": self.counts_plus, "minus": self.counts_minus}
 
     def _counts(self) -> np.ndarray:
-        """The counts as a (1, run, outcome) object array, Python numbers in outcome order,
-        so int totals and ``k / n`` are exact at any size."""
+        """The counts as a (1, run, outcome) int64 table in outcome order, as
+        :func:`_draw_counts` gives them."""
         return np.array([[[run[o] for o in OUTCOMES] for run in self.runs().values()]],
-                        dtype=object)
+                        dtype=np.int64)
 
 
 def _draw_counts(config: SweepConfig, n_photons: int, seed: int) -> np.ndarray:
@@ -343,29 +344,16 @@ def monte_carlo_counts(setup: SetupParams, input_angle_deg: float, n_photons: in
                        *(dict(zip(OUTCOMES, counts)) for counts in runs))
 
 
-def _count_frequencies(input_angle_deg: float, n: int, counts: np.ndarray):
-    """P, c, the mean eigenstate error and its symmetry flag of N count tables shaped
-    (N, run, outcome), runs as in :meth:`CountRecord.runs`: int64 draws or a record's
-    numbers as objects, divided exactly as Python ``k / n``.  Each run's frequencies,
-    summed from 0.0 in outcome order, must lie within ``PROBABILITY_SUM_TOL`` of one."""
+def _count_columns(theta, input_angle_deg: float, n: int, counts: np.ndarray) -> np.ndarray:
+    """The estimate columns of N int64 count tables shaped (N, run, outcome), runs as in
+    :meth:`CountRecord.runs`, each summing to ``n``; every frequency is Python's ``k / n``.
+    A symmetric eigenstate confusion gives eps_eigen 4 p_error."""
     # Counts and n up to 2**53 are exact floats, so numpy's quotient is Python's k / n
     frequencies = (counts if max(n, counts.max()) <= 2**53 else counts.astype(object)) / n
-    frequencies = frequencies.astype(float)
-    off_one = np.abs(frequencies.cumsum(axis=-1)[..., -1] - 1.0) > PROBABILITY_SUM_TOL
-    if off_one.any():
-        row, run = np.argwhere(off_one)[0]
-        raise InvalidInputError(f"counts for run {('psi', 'plus', 'minus')[run]!r} sum to "
-                                f"{counts[row, run].sum()!r}, expected n_photons={n}")
-    psi, plus, minus = frequencies.transpose(1, 0, 2)
+    psi, plus, minus = frequencies.astype(float).transpose(1, 0, 2)
     mean_a = math.sin(2.0 * math.radians(input_angle_deg))
     p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
-    return p, c, *symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
-
-
-def _count_columns(theta, input_angle_deg: float, n: int, counts: np.ndarray) -> np.ndarray:
-    """The estimate columns of N count tables from :func:`_count_frequencies`.  A symmetric
-    eigenstate confusion gives eps_eigen 4 p_error."""
-    p, c, p_error, symmetric = _count_frequencies(input_angle_deg, n, counts)
+    p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
     # Sampling noise can push plug-in errors slightly negative: no sign check.
     return _estimate_columns(theta, p_error, p, c, 1.0, nonnegative=False,
                              eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan))
@@ -385,8 +373,7 @@ def estimate_from_counts(record: CountRecord) -> dict:
     in a calibrated experiment; outcome and confusion probabilities come from
     the counts.  Outcomes with no counts are marked unresolvable and excluded
     from the optimal-error sums without affecting the others.  The one-row
-    view of the count table: the record, consistent since it was built,
-    gives its counts as one object array, divided as Python ``k / n``.
+    view of the count table, on the record's int64 table of counts.
     """
     table = _estimate_table(_count_columns([record.setup.theta_deg], record.input_angle_deg,
                                            record.n_photons, record._counts()))
@@ -404,8 +391,7 @@ def bootstrap_standard_errors(record: CountRecord, n_resamples: int,
     n_resamples = require_integer("n_resamples", n_resamples, 2, _MAX_DRAWS)
     rng_seed = require_integer("rng_seed", rng_seed, 0)
     n = record.n_photons
-    frequencies = [np.array([counts[o] for o in OUTCOMES]) / sum(counts.values())
-                   for counts in record.runs().values()]
+    frequencies = record._counts()[0] / n
     rng = np.random.default_rng((rng_seed,))
     draws = rng.multinomial(n, [f / f.sum() for f in frequencies], size=(n_resamples, 3))
     columns = _count_columns([record.setup.theta_deg] * n_resamples, record.input_angle_deg,

@@ -63,6 +63,8 @@ M1_VALUES = (1, -1)
 _M2_PARTNER = [1, 0, 3, 2]
 
 _SQRT2 = math.sqrt(2.0)
+# How far a table of outcome probabilities, summed from 0.0 in outcome order, may lie from one.
+PROBABILITY_SUM_TOL = 1e-9
 
 
 def _require_thetas(theta_grid: Sequence[float]) -> np.ndarray:
@@ -108,7 +110,7 @@ class OutcomeDistribution:
             table[outcome] = require_real(f"probability of outcome {outcome}", p, 0, math.inf)
         if set(table) != set(OUTCOMES):
             raise InvalidInputError("distribution must cover exactly the four sequential outcomes")
-        if abs(sum(table.values()) - 1.0) > 1e-9:
+        if abs(sum((table[o] for o in OUTCOMES), 0.0) - 1.0) > PROBABILITY_SUM_TOL:
             raise InvalidInputError("outcome probabilities must sum to one")
         object.__setattr__(self, "probs", table)
 

@@ -8,8 +8,9 @@ conditional averages follow from the ideal effects with a symmetric PM error
 probability and an HV readout that is fully random for P and M eigenstate
 inputs.  The error report is the outcome-by-outcome loop
 that ``seqpol.analysis.error_columns`` replaces for whole tables.  The count
-table keeps every count a Python number in an object array, as
-``seqpol.harness`` did before it estimated int64 draws directly.  The
+table keeps every count a Python int in an object array, as
+``seqpol.harness`` did before it estimated int64 draws directly, and a record's
+counts are checked one by one before their run totals.  The
 crossing search reads both curves from a per-strength dict of outcome pairs,
 as ``seqpol.harness.find_crossings`` did before it read them from arrays.  The
 renderers write rows one cell at a time, as ``seqpol.cli`` did before it
@@ -41,7 +42,6 @@ from seqpol.harness import (
     CROSSING_BRANCH_SWAP,
     CROSSING_SIGN_FLIP,
     NOISE_EPS,
-    PROBABILITY_SUM_TOL,
     Crossing,
     _estimate_columns,
     _estimate_table,
@@ -163,20 +163,12 @@ def oracle_stack_terms(state, effects, observable):
 
 def oracle_count_table(theta, input_angle_deg: float, n: int, counts):
     """The sweep table estimated from N count tables shaped (N, run, outcome), runs as in
-    :meth:`CountRecord.runs`.  Counts stay Python numbers up to the division by
-    ``n``, so totals and frequencies are exact as in a scalar loop, and each run's
-    frequencies, summed from the left, must lie within ``PROBABILITY_SUM_TOL`` of
-    one.  A symmetric eigenstate confusion gives the eigenvalue-assignment error
-    4 p_error directly.
+    :meth:`CountRecord.runs`.  Counts stay Python ints up to the division by ``n``,
+    so every frequency is exact as in a scalar loop.  A symmetric eigenstate
+    confusion gives the eigenvalue-assignment error 4 p_error directly.
     """
     counts = np.asarray(counts, dtype=object)
     frequencies = (counts / n).astype(float)
-    f = frequencies.transpose(2, 0, 1)
-    off = np.abs(0.0 + f[0] + f[1] + f[2] + f[3] - 1.0) > PROBABILITY_SUM_TOL
-    if off.any():
-        row, run = np.argwhere(off)[0]
-        raise InvalidInputError(f"counts for run {('psi', 'plus', 'minus')[run]!r} sum to "
-                                f"{counts[row, run].sum()!r}, expected n_photons={n}")
     psi, plus, minus = frequencies.transpose(1, 0, 2)
     mean_a = math.sin(2.0 * math.radians(input_angle_deg))
     p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
@@ -184,6 +176,25 @@ def oracle_count_table(theta, input_angle_deg: float, n: int, counts):
     # Sampling noise can push plug-in errors slightly negative: no sign check.
     return _estimate_table(_estimate_columns(theta, p_error, p, c, 1.0, nonnegative=False,
                                              eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan)))
+
+
+def oracle_record_table(setup, input_angle_deg: float, n: int, rng_seed: int, *runs):
+    """The one-row table of a record's arguments: every count of the three runs an int
+    (not a bool) of at least 0, then each run's total exactly ``n``, psi first."""
+    names = ("psi", "plus", "minus")
+    for name, run in zip(names, runs):
+        for outcome in OUTCOMES:
+            k = run[outcome]
+            if isinstance(k, bool) or not isinstance(k, (int, np.integer)) or k < 0:
+                raise InvalidInputError(f"counts_{name} must be an integer of at least 0, "
+                                        f"got {k!r}")
+    for name, run in zip(names, runs):
+        total = sum(int(run[o]) for o in OUTCOMES)
+        if total != n:
+            raise InvalidInputError(f"counts for run {name!r} sum to {total!r}, "
+                                    f"expected n_photons={n}")
+    counts = [[[int(run[o]) for o in OUTCOMES] for run in runs]]
+    return oracle_count_table([setup.theta_deg], input_angle_deg, n, counts)
 
 
 def oracle_error_report(terms, mean_square, variance_initial, assignments=None):

@@ -33,6 +33,8 @@ from seqpol.algebra import (
     real_cross_correlation,
 )
 from seqpol.analysis import (
+    DECOMPOSITION_ROUNDING,
+    DECOMPOSITION_TOL,
     ErrorReport,
     calibrated_columns,
     conditional_average,
@@ -391,6 +393,28 @@ class TestOzawaError:
                 variance_initial=0.5,
                 residual=0.0,
             )
+
+    @pytest.mark.parametrize("mean_square", [1.0, 4e8])
+    def test_a_recomposition_just_past_the_bound_raises(self, mean_square):
+        # terms of order one, and of the size a near-floor outcome's assignment gives:
+        # a recomposition of zero, off by the bound, 1e-9 + 32 eps (2 mean_square),
+        # holds; one ulp further raises
+        fields = dict(mean_square=mean_square, variance_initial=0.0,
+                      estimate_variance=mean_square, residual=0.0)
+        assert (DECOMPOSITION_TOL, DECOMPOSITION_ROUNDING) == (1e-9, 32 * np.finfo(float).eps)
+        bound = 1e-9 + 32 * np.finfo(float).eps * (mean_square + mean_square + 0.0)
+        assert ErrorReport(epsilon_sq=bound, **fields).epsilon_sq == bound
+        with pytest.raises(InvalidInputError) as excinfo:
+            ErrorReport(epsilon_sq=float(np.nextafter(bound, math.inf)), **fields)
+        assert str(excinfo.value).startswith("error decomposition does not reconcile")
+
+    @pytest.mark.parametrize("field", ["mean_square", "estimate_variance", "residual"])
+    def test_a_non_finite_term_raises(self, field):
+        fields = dict(epsilon_sq=1.0, mean_square=1.0, variance_initial=0.0,
+                      estimate_variance=0.0, residual=0.0)
+        for value in (math.inf, -math.inf, math.nan):
+            with pytest.raises(InvalidInputError, match="^error decomposition does not reconcile"):
+                ErrorReport(**{**fields, field: value})
 
 
 class TestOptimalError:

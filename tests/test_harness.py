@@ -309,65 +309,78 @@ class TestMonteCarloCounts:
         assert sum(record.counts_psi.values()) == 2**63 - 1
 
 
+# A record whose eigenvalue-assignment error once failed to reconcile: the m1 = -1
+# marginal of the input run holds 2 photons in 10**9.
+FOUND_RECORD = (SetupParams(5.0), 67.5, 10**9, 0,
+                {(1, 1): 10**9 // 2 - 2, (1, -1): 10**9 // 2, (-1, 1): 2, (-1, -1): 0},
+                {(1, 1): 0, (1, -1): 0, (-1, 1): 10**9 // 2, (-1, -1): 10**9 // 2},
+                dict.fromkeys(OUTCOMES, 10**9 // 4))
+
+
+@st.composite
+def integer_records(draw):
+    """The arguments of records whose runs each split n into four integer counts at
+    three cut points: anywhere, within 3 of either end or within 3 of n / 2, so that
+    an outcome holds a few photons, or none, beside large ones."""
+    n = draw(st.one_of(st.sampled_from([1, 2, 2**53 - 1, 2**53 + 1, 10**9, 2**63 - 1]),
+                       st.integers(1, 2**63 - 1)))
+    near = [st.integers(0, n), st.integers(0, min(3, n)), st.integers(max(n - 3, 0), n),
+            st.integers(max(n // 2 - 3, 0), min(n // 2 + 3, n))]
+    runs = []
+    for _ in range(3):
+        cuts = [0, *sorted(draw(st.lists(st.one_of(*near), min_size=3, max_size=3))), n]
+        runs.append({o: cuts[i + 1] - cuts[i] for i, o in enumerate(OUTCOMES)})
+    setup = SetupParams(draw(with_edges(THETA_EDGES, 0.0, 22.5)))
+    angle = draw(with_edges((45.0, -45.0, 0.0, 67.5, 90.0), -180.0, 180.0))
+    return setup, angle, n, draw(st.integers(0, 2**32)), *runs
+
+
 class TestEstimateFromCounts:
-    def _proportional_record(self, params, n=10**6):
-        tables = {}
-        for name, angle in (("psi", 67.5), ("plus", 45.0), ("minus", -45.0)):
+    @staticmethod
+    def _frequency_table(params, edit=None):
+        """The count table of exact frequencies at n = 1: the three runs' outcome
+        probabilities as the counts of one photon, ``edit`` applied to the input run's."""
+        runs = []
+        for angle in (67.5, 45.0, -45.0):
             dist = outcome_probabilities(params, make_linear_polarization(angle))
-            tables[name] = {o: dist[o] * n for o in OUTCOMES}
-        return CountRecord(
-            setup=params,
-            input_angle_deg=67.5,
-            n_photons=n,
-            rng_seed=0,
-            counts_psi=tables["psi"],
-            counts_plus=tables["plus"],
-            counts_minus=tables["minus"],
-        )
+            runs.append({o: dist[o] for o in OUTCOMES})
+        if edit:
+            edit(runs[0])
+        table = np.array([[[run[o] for o in OUTCOMES] for run in runs]])
+        columns = harness._count_columns([params.theta_deg], 67.5, 1, table)
+        return {key: cells[0] for key, cells in harness._estimate_table(columns).items()}
 
     @pytest.mark.parametrize("theta", [0.0, 6.0, 12.5, 22.5])
     def test_exact_frequencies_reproduce_analytic_row(self, theta):
         params = SetupParams(theta)
-        empirical = estimate_from_counts(self._proportional_record(params))
+        empirical = self._frequency_table(params)
         analytic = analytic_row(params)
         for key, value in analytic.items():
             assert empirical[key] == pytest.approx(value, abs=1e-9), key
 
     def test_zero_count_outcome_is_isolated(self):
-        params = SetupParams(12.5)
-        record = self._proportional_record(params)
-        counts = dict(record.counts_psi)
-        counts[(-1, -1)] += counts[(-1, 1)]
-        counts[(-1, 1)] = 0.0
-        record = CountRecord(
-            setup=params,
-            input_angle_deg=67.5,
-            n_photons=record.n_photons,
-            rng_seed=0,
-            counts_psi=counts,
-            counts_plus=record.counts_plus,
-            counts_minus=record.counts_minus,
-        )
-        row = estimate_from_counts(record)
+        def empty_mp(counts):
+            counts[(-1, -1)] += counts[(-1, 1)]
+            counts[(-1, 1)] = 0.0
+
+        row = self._frequency_table(SetupParams(12.5), empty_mp)
         assert row["aopt_mp"] is None
         for key in ("aopt_pp", "aopt_pm", "aopt_mm"):
             assert row[key] is not None
         assert row["eps_opt_m1m2"] is not None
 
     def test_all_zero_run_rejected(self):
-        params = SetupParams(5.0)
-        record = self._proportional_record(params)
-        zeros = {o: 0 for o in OUTCOMES}
+        even, zeros = dict.fromkeys(OUTCOMES, 250_000), dict.fromkeys(OUTCOMES, 0)
         with pytest.raises(InvalidInputError,
                            match=r"^counts for run 'psi' sum to 0, expected n_photons=1000000$"):
             CountRecord(
-                setup=params,
+                setup=SetupParams(5.0),
                 input_angle_deg=67.5,
-                n_photons=record.n_photons,
+                n_photons=10**6,
                 rng_seed=0,
                 counts_psi=zeros,
-                counts_plus=record.counts_plus,
-                counts_minus=record.counts_minus,
+                counts_plus=even,
+                counts_minus=even,
             )
 
     def test_record_runs_must_sum_to_n_photons(self):
@@ -380,33 +393,43 @@ class TestEstimateFromCounts:
             assert str(excinfo.value) == (
                 f"counts for run '{name}' sum to 4, expected n_photons=1000")
 
-    def test_a_record_that_builds_also_estimates(self):
-        # 1000.0005 lies within 1e-6 * n of n, but its frequencies sum to 1.0000005,
-        # which the estimate step rejects; a sum 1e-10 from one passes both
-        even = dict.fromkeys(OUTCOMES, 250)
-        with pytest.raises(InvalidInputError) as excinfo:
-            CountRecord(SetupParams(5.0), 67.5, 1000, 0, {**even, (1, 1): 250.0005}, even, even)
-        assert str(excinfo.value) == (
-            "counts for run 'psi' sum to 1000.0005, expected n_photons=1000")
-        record = CountRecord(SetupParams(5.0), 67.5, 1000, 0, {**even, (1, 1): 250 + 1e-7},
-                             even, even)
-        assert estimate_from_counts(record)["p_pp"] == (250 + 1e-7) / 1000
-        assert bootstrap_standard_errors(record, 20, 1)
-
-    @pytest.mark.parametrize("run, counts, message", [
-        ("psi", {(1, 1): 1000.0000001}, "P(m) must lie in [0, 1], got 1.0000000001"),
-        ("plus", {(-1, 1): 500.0000001, (-1, -1): 500},
-         "p_flip_plus must lie in [0, 1], got 1.0000000001"),
+    @pytest.mark.parametrize("run, counts, got", [
+        ("psi", {(1, 1): 1000.0000001}, "1000.0000001"),
+        ("plus", {(-1, 1): 500.0000001, (-1, -1): 500}, "500.0000001"),
+        ("psi", {(1, 1): 250.0005, (1, -1): 250, (-1, 1): 250, (-1, -1): 250}, "250.0005"),
     ])
-    def test_a_record_fails_where_its_estimate_would(self, run, counts, message):
-        # each run's frequencies sum to within 1e-9 of one, but a probability formed
-        # from them lies past one, which the estimate step rejects
+    def test_a_record_fails_where_its_estimate_would(self, run, counts, got):
+        # real counts near n: the first two would form a probability past one and the
+        # third's frequencies sum past one; each fails as a count that is not an integer
         even = dict.fromkeys(OUTCOMES, 250)
         runs = {"psi": even, "plus": even, "minus": even,
                 run: {**dict.fromkeys(OUTCOMES, 0), **counts}}
         with pytest.raises(InvalidInputError) as excinfo:
             CountRecord(SetupParams(5.0), 67.5, 1000, 0, *runs.values())
-        assert str(excinfo.value) == message
+        assert str(excinfo.value) == f"counts_{run} must be an integer of at least 0, got {got}"
+
+    def test_a_near_floor_assignment_reconciles(self):
+        # the m1 = -1 marginal has P = 2e-9, just above P_FLOOR, so its assignment is
+        # about 3.9e8 and the eigenvalue-assignment error cancels from terms near 3e8
+        record = CountRecord(*FOUND_RECORD)
+        row = estimate_from_counts(record)
+        assert row["p_mp"] == 2e-9 and row["aopt_mm"] is None
+        assert row["aopt_m1_minus"] > 3.9e8
+        assert row["eps_eigen"] == 3.7071067811865475
+
+    @settings(max_examples=300, deadline=None)
+    @given(arguments=integer_records())
+    @example(arguments=FOUND_RECORD)
+    def test_an_integer_record_that_builds_estimates(self, arguments):
+        # k / n lies in [0, 1] for 0 <= k <= n, and each run sums to n exactly
+        record = CountRecord(*arguments)
+        estimate_from_counts(record)
+        n = record.n_photons
+        for counts in record.runs().values():
+            total = 0.0
+            for outcome in OUTCOMES:
+                total += counts[outcome] / n
+            assert abs(total - 1.0) <= 4 * np.finfo(float).eps
 
     def test_record_rejects_photon_numbers_beyond_a_c_long(self):
         counts = {o: 2**61 for o in OUTCOMES}
@@ -440,24 +463,36 @@ class TestEstimateFromCounts:
 
     @pytest.mark.parametrize("count, got", [
         pytest.param(count, got, id=name) for name, count, got in [
-            ("2.5", "2.5", "must be finite, got '2.5'"), ("None", None, "must be finite, got None"),
-            ("2.5j", 2.5j, "must be finite, got 2.5j"), ("count3", [1], "must be finite, got [1]"),
-            ("-1", -1, "must lie in [0, inf], got -1"), ("nan", math.nan, "must be finite, got nan"),
-            ("inf", math.inf, "must be finite, got inf"),
-            ("10**400", 10**400, f"must be finite, got {10**400}"),
+            ("2.5", "2.5", "'2.5'"), ("None", None, "None"), ("2.5j", 2.5j, "2.5j"),
+            ("count3", [1], "[1]"), ("-1", -1, "-1"), ("nan", math.nan, "nan"),
+            ("inf", math.inf, "inf"), ("float", 2.5, "2.5"), ("whole float", 250.0, "250.0"),
+            ("numpy float", np.float32(2.0), "np.float32(2.0)"), ("bool", True, "True"),
         ]
     ])
-    def test_record_rejects_a_count_that_is_not_a_finite_number(self, count, got):
+    def test_record_rejects_a_count_that_is_not_an_integer(self, count, got):
         counts = dict.fromkeys(OUTCOMES, 250)
         with pytest.raises(InvalidInputError) as excinfo:
             CountRecord(SetupParams(5.0), 67.5, 1000, 0, counts, counts,
                         {**counts, OUTCOMES[0]: count})
-        assert str(excinfo.value) == f"counts_minus {got}"
+        assert str(excinfo.value) == f"counts_minus must be an integer of at least 0, got {got}"
 
-    def test_record_keeps_python_and_numpy_counts(self):
-        counts = dict(zip(OUTCOMES, [np.int64(1), np.float32(2.0), 3.0, True]))
+    @pytest.mark.parametrize("count, total", [
+        pytest.param(10**400, repr(10**400 + 750), id="10**400"),
+        pytest.param(10**5000, "<int too long to print>", id="10**5000")])
+    def test_a_count_past_any_total_fails_its_run_sum(self, count, total):
+        counts = dict.fromkeys(OUTCOMES, 250)
+        with pytest.raises(InvalidInputError) as excinfo:
+            CountRecord(SetupParams(5.0), 67.5, 1000, 0, counts, counts,
+                        {**counts, OUTCOMES[0]: count})
+        assert str(excinfo.value) == (
+            f"counts for run 'minus' sum to {total}, expected n_photons=1000")
+
+    def test_record_keeps_numpy_integer_counts_as_python_ints(self):
+        counts = dict(zip(OUTCOMES, [np.int64(1), np.uint8(2), 3, np.int32(1)]))
         record = CountRecord(SetupParams(5.0), 67.5, 7, 0, counts, counts, counts)
         assert record.counts_psi == counts
+        assert {type(k) for run in record.runs().values() for k in run.values()} == {int}
+        assert record._counts().dtype == np.int64
 
     def test_record_requires_full_outcome_coverage(self):
         with pytest.raises(InvalidInputError):

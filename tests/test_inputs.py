@@ -1,8 +1,8 @@
 """The number rules at every library entry point that takes a number.
 
-A value that is not a finite real number (or, for a count of draws or a
-seed, not an integer; for an operator or state entry, not a complex number)
-ends in an ``InvalidInputError``, never in a bare
+A value that is not a finite real number (or, for a photon count, a number of
+draws or a seed, not an integer; for an operator or state entry, not a complex
+number) ends in an ``InvalidInputError``, never in a bare
 ``OverflowError``, ``ValueError`` or ``TypeError``, and a numpy scalar counts
 as the Python number of its value.  A sequence or an array follows the real
 rule entry by entry, and its first bad entry is named.
@@ -87,7 +87,6 @@ REAL_ENTRIES = {
         {1: 0.5, -1: 0.5}, EIGENSTATE, 0.5, x),
     "symmetric_error_probability": lambda x: symmetric_error_probability(x, 0.1),
     "CountRecord input_angle_deg": lambda x: _record(input_angle_deg=x),
-    "CountRecord counts": lambda x: _record(counts_plus={**COUNTS, (1, 1): x}),
     "monte_carlo_counts input_angle_deg": lambda x: monte_carlo_counts(
         SetupParams(5.0), x, 10, 1),
 }
@@ -97,6 +96,7 @@ INTEGER_ENTRIES = {
     "monte_carlo_counts rng_seed": lambda x: monte_carlo_counts(SetupParams(5.0), 67.5, 10, x),
     "CountRecord n_photons": lambda x: _record(n_photons=x),
     "CountRecord rng_seed": lambda x: _record(rng_seed=x),
+    "CountRecord counts": lambda x: _record(counts_plus={**COUNTS, (1, 1): x}),
     "bootstrap_standard_errors n_resamples": lambda x: bootstrap_standard_errors(_record(), x, 1),
     "bootstrap_standard_errors rng_seed": lambda x: bootstrap_standard_errors(_record(), 20, x),
 }
@@ -267,8 +267,6 @@ ARRAY_ENTRIES = {
     "two_level_ozawa_error": (lambda v: two_level_ozawa_error(
         _table(v), EIGENSTATE, 0.5, 0.5, EstimateTable({1: 1.0, -1: -1.0})), "a probability",
         "P(m) must lie in [0, 1]", "table"),
-    "CountRecord counts": (lambda v: _record(counts_plus={**COUNTS, (1, 1): v[0], (1, -1): v[1]}),
-                           "counts_plus", "counts_plus must lie in [0, inf]", "array"),
 }
 
 
@@ -290,6 +288,17 @@ def test_a_sequence_or_array_names_its_first_bad_entry(call, values, message):
     with pytest.raises(InvalidInputError) as excinfo:
         call(values)
     assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("values", [pytest.param(values, id=label)
+                                    for label, (values, _, _) in ARRAY_INPUTS.items()])
+def test_a_count_is_named_as_the_record_holds_it(values):
+    # counts follow the integer rule one by one, not the array rule: the bad entry
+    # is named as it was handed in, a numpy scalar by its repr
+    with pytest.raises(InvalidInputError) as excinfo:
+        _record(counts_plus={**COUNTS, (1, 1): 250, (1, -1): values[1]})
+    assert str(excinfo.value) == (
+        f"counts_plus must be an integer of at least 0, got {values[1]!r}")
 
 
 @pytest.mark.parametrize("call", [ARRAY_ENTRIES[entry][0] for entry in (

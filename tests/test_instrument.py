@@ -15,7 +15,9 @@ from seqpol import (
     sequential_povm,
 )
 from seqpol.algebra import IDENTITY, TAU_ALG, born_probability, validate_povm
-from seqpol.instrument import OUTCOMES, OutcomeDistribution, effect_stack, pm_error_probability
+from seqpol.harness import PROBABILITY_SUM_TOL as harness_probability_sum_tol
+from seqpol.instrument import (OUTCOMES, PROBABILITY_SUM_TOL, OutcomeDistribution, effect_stack,
+                               pm_error_probability)
 
 from closed_forms import ideal_outcome_vector
 from conftest import SQRT2, m1_marginal, projector
@@ -277,3 +279,16 @@ class TestOutcomeProbabilities:
             OutcomeDistribution({(1, 1): 0.5, (1, -1): 0.5, (-1, 1): 0.5, (-1, -1): 0.5})
         with pytest.raises(InvalidInputError):
             OutcomeDistribution({(1, 1): 1.0})
+
+    def test_a_distribution_sums_in_outcome_order_as_the_estimate_does(self):
+        # four numbers whose sum from 0.0 lies within PROBABILITY_SUM_TOL of one in
+        # this order and just past it in reverse, each table handed in reverse order
+        forward = [0.30264185685940004, 0.13749684553314742, 0.32805149940421136,
+                   0.23180979920324116]
+        assert abs(0.0 + forward[0] + forward[1] + forward[2] + forward[3] - 1.0) <= 1e-9
+        assert abs(0.0 + forward[3] + forward[2] + forward[1] + forward[0] - 1.0) > 1e-9
+        assert harness_probability_sum_tol is PROBABILITY_SUM_TOL == 1e-9
+        built = OutcomeDistribution(dict(zip(OUTCOMES[::-1], forward[::-1])))
+        assert [built[o] for o in OUTCOMES] == forward
+        with pytest.raises(InvalidInputError, match="^outcome probabilities must sum to one$"):
+            OutcomeDistribution(dict(zip(OUTCOMES[::-1], forward)))
