@@ -32,9 +32,10 @@ def _frozen(arr: np.ndarray) -> np.ndarray:
 
 def _complex_array(entries, what: str) -> np.ndarray:
     """``entries`` as a complex128 array.  A string entry, which numpy would parse, and
-    what numpy cannot convert are an InvalidInputError."""
+    what numpy cannot convert are an InvalidInputError; a numeric array holds no string."""
     try:
-        if not any(isinstance(x, (str, bytes)) for x in np.array(entries, dtype=object).flat):
+        numeric = isinstance(entries, np.ndarray) and entries.dtype.kind in "biufc"
+        if numeric or not any(isinstance(x, (str, bytes)) for x in np.array(entries, object).flat):
             return np.array(entries, dtype=np.complex128)
     except (TypeError, ValueError, OverflowError):  # not a number, ragged, past the float range
         pass
@@ -52,13 +53,13 @@ def as_operator(entries) -> np.ndarray:
     op = _complex_array(entries, "operator entries")
     if op.shape != (2, 2):
         raise InvalidInputError(f"expected a 2x2 operator, got shape {op.shape}")
-    if not np.all(np.isfinite(op)):
+    if not np.isfinite(op).all():
         raise InvalidInputError("operator entries must be finite")
     return _frozen(op)
 
 
 def require_hermitian(op: np.ndarray) -> np.ndarray:
-    if not float(np.max(np.abs(op - op.conj().T))) <= TAU_HERM:
+    if not np.abs(op - op.conj().T).max() <= TAU_HERM:
         raise InvalidInputError("operator is not Hermitian within tolerance")
     return op
 
@@ -88,18 +89,18 @@ class QubitState:
     def __post_init__(self):
         rho = as_operator(self.density)
         require_hermitian(rho)
-        if abs(np.trace(rho).real - 1.0) > TAU_ALG:
+        if abs(rho.trace().real - 1.0) > TAU_ALG:
             raise InvalidInputError("density matrix must have unit trace")
         if hermitian_eigenvalues(rho)[0] < -TAU_ALG:
             raise InvalidInputError("density matrix must be positive semidefinite")
         object.__setattr__(self, "density", rho)
         if self.vector is not None:
             vec = _complex_array(self.vector, "state vector entries")
-            if vec.shape != (2,) or not np.all(np.isfinite(vec)):
+            if vec.shape != (2,) or not np.isfinite(vec).all():
                 raise InvalidInputError("state vector must be a finite 2-vector")
             if abs(np.linalg.norm(vec) - 1.0) > TAU_ALG:
                 raise InvalidInputError("pure state vector must have unit norm")
-            if float(np.max(np.abs(np.outer(vec, vec.conj()) - rho))) > TAU_ALG:
+            if np.abs(np.outer(vec, vec.conj()) - rho).max() > TAU_ALG:
                 raise InvalidInputError("state vector and density matrix disagree")
             object.__setattr__(self, "vector", _frozen(vec))
 
@@ -112,7 +113,7 @@ class QubitState:
         vec = _complex_array(vector, "state amplitudes")
         if vec.shape != (2,):
             raise InvalidInputError(f"expected a 2-vector, got shape {vec.shape}")
-        if not np.all(np.isfinite(vec)):
+        if not np.isfinite(vec).all():
             raise InvalidInputError("state amplitudes must be finite")
         return cls(density=np.outer(vec, vec.conj()), vector=vec)
 
@@ -124,7 +125,7 @@ class QubitState:
 def make_linear_polarization(angle_deg: float) -> QubitState:
     """Pure linear-polarization state cos(a)|H> + sin(a)|V> for ``a`` in degrees."""
     rad = math.radians(require_real("polarization angle", angle_deg))
-    return QubitState.pure([math.cos(rad), math.sin(rad)])
+    return QubitState.pure(np.array([math.cos(rad), math.sin(rad)]))
 
 
 @dataclass(frozen=True)

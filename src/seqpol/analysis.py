@@ -243,45 +243,49 @@ class ErrorReport:
     residual: float
     excluded_probability: float = 0.0
 
+    @np.errstate(over="ignore", invalid="ignore")
     def __post_init__(self):
         fields = (self.epsilon_sq, self.mean_square, self.estimate_variance, self.residual)
         _check_decomposition(*np.atleast_1d(*fields, self.excluded_probability))
 
 
-@np.errstate(over="ignore", invalid="ignore")
 def _check_decomposition(epsilon_sq, mean_square, estimate_variance, residual, excluded) -> None:
-    """The checks of :class:`ErrorReport` over arrays of reports; non-finite values raise."""
+    """The checks of :class:`ErrorReport` over arrays of reports; non-finite values raise.
+    Callers ignore overflow and invalid-value warnings, which the checks turn into errors."""
     recomposed = mean_square - estimate_variance + residual
-    scale = np.abs(mean_square) + np.abs(estimate_variance) + np.abs(residual)
-    bound = DECOMPOSITION_TOL + DECOMPOSITION_ROUNDING * scale
-    unreconciled = (~np.isfinite(epsilon_sq) | ~np.isfinite(scale)
-                    | (np.abs(epsilon_sq - recomposed) > bound))
-    if unreconciled.any():
-        n = np.argmax(unreconciled)
+    scale = abs(mean_square) + abs(estimate_variance) + abs(residual)
+    # False for a NaN or infinite epsilon_sq or scale, as a finite scale keeps recomposed finite
+    reconciled = ((abs(epsilon_sq - recomposed) <= DECOMPOSITION_TOL
+                   + DECOMPOSITION_ROUNDING * scale) & (scale < math.inf))
+    if not reconciled.all():
+        n = np.argmin(reconciled)
         raise InvalidInputError("error decomposition does not reconcile: epsilon_sq="
                                 f"{float(epsilon_sq[n])!r} vs recomposed={float(recomposed[n])!r}")
-    if (excluded < 0.0).any():
-        raise InvalidInputError("excluded probability cannot be negative")
+    if not ((excluded >= 0.0) & (excluded < math.inf)).all():
+        raise InvalidInputError("excluded probability must be finite and >= 0")
 
 
 def stack_terms(
-    state: QubitState, effects: np.ndarray, observable: DichotomicObservable
+    state: QubitState | Sequence[QubitState], effects: np.ndarray, observable: DichotomicObservable
 ) -> tuple[np.ndarray, np.ndarray]:
     """Arrays P(m) = Tr(rho E_m) and c_m = Re Tr(rho E_m A) over a real stack of effects.
 
-    ``effects`` is a float array of shape ``(..., 2, 2)`` and both arrays have
-    its leading shape.  With E and A real, P = Tr(Re(rho) E) and c = Tr(Re(rho) E A) for
-    any state, so the products run in float64; a complex stack or target is an error.
+    ``effects`` is a float array of shape ``(..., 2, 2)`` and both arrays have its
+    leading shape, after an axis of S for a sequence of S states, taken in one product.
+    With E and A real, P = Tr(Re(rho) E) and c = Tr(Re(rho) E A) for any
+    state, so the products run in float64; a complex stack or target is an error.
     A probability outside [0, 1] by more than ``TAU_ALG`` is an error, as in
     :func:`seqpol.algebra.born_probability`, and in-band values are clamped to [0, 1].
     """
     if np.iscomplexobj(effects):
         raise InvalidInputError("the effect stack is not real")
-    if np.any(observable.op.imag):
+    if observable.op.imag.any():
         raise InvalidInputError("the target observable is not real")
-    weighted = state.density.real @ effects
-    p = np.trace(weighted, axis1=-2, axis2=-1)
-    c = np.trace(weighted @ observable.op.real, axis1=-2, axis2=-1)
+    density = (state.density.real if isinstance(state, QubitState) else  # (S, 1, ..., 1, 2, 2)
+               np.expand_dims([s.density.real for s in state], tuple(range(1, effects.ndim - 1))))
+    weighted = density @ effects
+    p = weighted.trace(axis1=-2, axis2=-1)
+    c = (weighted @ observable.op.real).trace(axis1=-2, axis2=-1)
     out_of_range = (p < -TAU_ALG) | (p > 1.0 + TAU_ALG)
     if out_of_range.any():
         raise InvalidInputError(f"outcome probability {float(p[out_of_range][0])!r} is out of range")
@@ -333,7 +337,7 @@ ErrorColumns = namedtuple("ErrorColumns", ["optimal", "epsilon_sq", "estimate_va
 
 def _running_sum(start: float, terms: np.ndarray) -> np.ndarray:
     """start + terms[:, 0] + terms[:, 1] + ..., added from the left as a scalar loop adds."""
-    return np.hstack([np.full((len(terms), 1), start), terms]).cumsum(axis=1)[:, -1]
+    return sum(terms.T, np.full(len(terms), start, dtype=float))
 
 
 @np.errstate(over="ignore", invalid="ignore")
@@ -356,8 +360,8 @@ def error_columns(
     """
     resolvable = p > P_FLOOR
     optimal = np.divide(c, p, out=np.full(p.shape, np.nan), where=resolvable)
-    if not np.isfinite(optimal[resolvable]).all():
-        raise InvalidInputError("optimal assignments must be finite")
+    if not (np.isfinite(p).all() and (np.isfinite(optimal) == resolvable).all()):
+        raise InvalidInputError("outcome probabilities and optimal assignments must be finite")
     estimate_variance = _running_sum(0.0, np.where(resolvable, optimal * c, 0.0))
     excluded = _running_sum(0.0, np.where(resolvable, 0.0, p))
     if assignment is None:
@@ -371,10 +375,16 @@ def error_columns(
         deviation = np.float_power(assigned - optimal, 2.0) * p
         residual = _running_sum(0.0, np.where(resolvable, deviation, raw))
     _check_decomposition(epsilon_sq, mean_square, estimate_variance, residual, excluded)
-    if nonnegative and (epsilon_sq < -DECOMPOSITION_TOL).any():
+    if nonnegative:
+        _require_nonnegative(epsilon_sq)
+    return ErrorColumns(optimal, epsilon_sq, estimate_variance, residual, excluded)
+
+
+def _require_nonnegative(epsilon_sq: np.ndarray) -> None:
+    """Reject a squared error below ``-DECOMPOSITION_TOL``, a model fault on the operator route."""
+    if (epsilon_sq < -DECOMPOSITION_TOL).any():
         value = float(epsilon_sq[epsilon_sq < -DECOMPOSITION_TOL][0])
         raise InvalidInputError(f"squared error {value!r} is negative beyond tolerance")
-    return ErrorColumns(optimal, epsilon_sq, estimate_variance, residual, excluded)
 
 
 def error_report(

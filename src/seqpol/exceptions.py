@@ -7,6 +7,7 @@ numpy scalar by its value); an integer input is a ``numbers.Integral`` other tha
 
 import math
 import numbers
+import sys
 
 import numpy as np
 
@@ -69,7 +70,8 @@ def require_reals(name: str, values, lo=-math.inf, hi=math.inf, unit: str = "") 
     else:  # entry by entry, an array's entries as Python values
         entries = values.ravel().tolist() if array else values
         floats = np.array([v if type(v) is float else real_number(v) for v in entries], float)
-    ok = np.isfinite(floats) & (floats >= lo) & (floats <= hi)
+    # NaN fails both, and +-inf the largest finite floats that stand in for infinite bounds
+    ok = (floats >= max(lo, -sys.float_info.max)) & (floats <= min(hi, sys.float_info.max))
     if not ok.all():  # the first bad entry in flat order raises, named by its Python value
         first = int(ok.argmin())
         require_real(name, values.item(first) if array else values[first], lo, hi, unit)

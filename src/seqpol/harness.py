@@ -6,10 +6,11 @@ Every table starts from one grid step: a single
 (or over new bisection midpoints) gives the ``(N, 4)`` arrays P and c of each
 input state against the PM target.  One estimate step makes their
 ``SWEEP_COLUMNS`` one ``(15, N)`` float array, NaN for an unresolvable estimate,
-with :func:`~seqpol.analysis.error_columns` once per strategy.  Counts stay
-int64 arrays from the draw to the estimate, a bootstrap takes one ``std`` over
-all its resamples, and only the :data:`Table` view holds lists (``None`` for
-NaN).  :func:`analytic_row`, :func:`monte_carlo_counts` and
+with two :func:`~seqpol.analysis.error_columns` passes: m1 with the eigenvalue
+assignment, which also gives the minimal m1 error, and both outcomes.  Counts
+stay int64 arrays from the draw to the estimate, a bootstrap takes one ``std``
+over all its resamples, and only the :data:`Table` view holds lists (``None``
+for NaN).  :func:`analytic_row`, :func:`monte_carlo_counts` and
 :func:`estimate_from_counts` are one-point views of these steps.  Each counting
 run draws from its own generator seeded by (seed, run index), so a point's
 counts do not depend on the grid around it.  Draws sum to ``n_photons`` by
@@ -28,6 +29,7 @@ import numpy as np
 from .algebra import QubitState, make_linear_polarization, make_stokes
 from .analysis import (
     ReconstructionConfig,
+    _require_nonnegative,
     calibrated_columns,
     error_columns,
     moments,
@@ -113,27 +115,27 @@ class SweepConfig:
 
 
 def _estimate_columns(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float,
-                      nonnegative: bool, eps_eigen: np.ndarray | None = None) -> np.ndarray:
+                      nonnegative: bool, eps_eigen: np.ndarray | float = math.nan) -> np.ndarray:
     """The ``SWEEP_COLUMNS`` of N settings from their ``(N, 4)`` tables of P and c, as
     one ``(15, N)`` float array with NaN for an unresolvable estimate.
 
-    The errors belong to the eigenvalue assignment to m1 (``eps_eigen``
-    where that is not NaN), the optimal estimate from m1 alone (P and c add
-    over m2) and from both outcomes.  P gets the checks of an
-    :class:`~seqpol.instrument.OutcomeDistribution`.
+    P gets the checks of an :class:`~seqpol.instrument.OutcomeDistribution`.  The
+    errors belong to the eigenvalue assignment to m1 (``eps_eigen`` where that is
+    not NaN), the optimal estimate from m1 alone (P and c add over m2; ``mean_square``
+    less the estimate variance of the assignment's pass) and from both outcomes.
     """
-    p_m1, c_m1 = (0.0 + x[:, ::2] + x[:, 1::2] for x in (p, c))
-    opt_m1 = error_columns(p_m1, c_m1, mean_square, nonnegative=nonnegative)
-    opt_m1m2 = error_columns(p, c, mean_square, nonnegative=nonnegative)
-    eigen = np.full(len(p), np.nan) if eps_eigen is None else np.array(eps_eigen)
-    todo = np.isnan(eigen)
-    eigen[todo] = error_columns(p_m1[todo], c_m1[todo], mean_square, (1.0, -1.0),
-                                nonnegative).epsilon_sq
     off_one = np.abs(0.0 + p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3] - 1.0) > PROBABILITY_SUM_TOL
     if not (np.isfinite(p) & (p >= 0.0)).all() or off_one.any():
         raise InvalidInputError("outcome probabilities must be finite, >= 0 and sum to one")
-    return np.array([theta, p_error, *p.T, *opt_m1.optimal.T, *opt_m1m2.optimal.T,
-                     eigen, opt_m1.epsilon_sq, opt_m1m2.epsilon_sq], dtype=float)
+    p_m1, c_m1 = (0.0 + x[:, ::2] + x[:, 1::2] for x in (p, c))
+    m1 = error_columns(p_m1, c_m1, mean_square, (1.0, -1.0), nonnegative)
+    eps_opt_m1 = mean_square - m1.estimate_variance
+    if nonnegative:
+        _require_nonnegative(eps_opt_m1)
+    opt_m1m2 = error_columns(p, c, mean_square, nonnegative=nonnegative)
+    eigen = np.where(np.isnan(eps_eigen), m1.epsilon_sq, eps_eigen)
+    return np.array([theta, p_error, *p.T, *m1.optimal.T, *opt_m1m2.optimal.T,
+                     eigen, eps_opt_m1, opt_m1m2.epsilon_sq], dtype=float)
 
 
 def _estimate_table(columns: np.ndarray) -> Table:
@@ -143,19 +145,19 @@ def _estimate_table(columns: np.ndarray) -> Table:
     return dict(zip(SWEEP_COLUMNS, cells))
 
 
-def _grid_terms(config: SweepConfig, states: Sequence[QubitState],
-                thetas: Sequence[float] | None = None) -> list[tuple[np.ndarray, np.ndarray]]:
-    """The ``(N, 4)`` arrays P and c of each state against the PM target, from one
-    effect stack over the grid of ``config`` or over ``thetas``."""
+def _grid_terms(config: SweepConfig, state: QubitState | Sequence[QubitState],
+                thetas: Sequence[float] | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """P and c against the PM target, ``(N, 4)`` for one state and ``(S, N, 4)`` for S
+    states, from one effect stack over the grid of ``config`` or over ``thetas``."""
     effects = effect_stack(config.theta_grid if thetas is None else thetas, config.v_pm, config.v_hv)
-    return [stack_terms(state, effects, _PM) for state in states]
+    return stack_terms(state, effects, _PM)
 
 
 def run_sweep(config: SweepConfig) -> Table:
     """The sweep table of the grid, fully analytic and deterministic."""
     state = make_linear_polarization(config.input_angle_deg)
     _, mean_square, _ = moments(state, _PM)
-    ((p, c),) = _grid_terms(config, [state])
+    p, c = _grid_terms(config, state)
     p_error = pm_error_probabilities(config.theta_grid, config.v_pm)
     return _estimate_table(_estimate_columns(config.theta_grid, p_error, p, c, mean_square, True))
 
@@ -219,7 +221,7 @@ def find_crossings(config: SweepConfig) -> list[Crossing]:
 
     def curves(thetas) -> tuple[np.ndarray, np.ndarray]:
         """Both curves over ``thetas`` and their noise scales, as two ``(2, N)`` arrays."""
-        ((p, c),) = _grid_terms(config, [state], thetas)
+        p, c = _grid_terms(config, state, thetas)
         gap_scale = np.abs(c[:, 2]) + p[:, 0] + np.abs(c[:, 0]) + p[:, 2]
         return (np.stack([c[:, 3], c[:, 2] * p[:, 0] - c[:, 0] * p[:, 2]]),
                 np.stack([np.ones(len(c)), gap_scale]))
@@ -248,7 +250,7 @@ def run_reconstruct(config: SweepConfig, lam: float) -> Table:
     reconstruction = ReconstructionConfig(lam)
     plus_state, minus_state = variation_states(psi, _PM, reconstruction)
     mean_a, mean_a2, _ = moments(psi, _PM)
-    (p, c), (p_plus, _), (p_minus, _) = _grid_terms(config, [psi, plus_state, minus_state])
+    (p, p_plus, p_minus), (c, _, _) = _grid_terms(config, [psi, plus_state, minus_state])
     reconstructed = reconstruct_correlation(p_plus.ravel(), p_minus.ravel(), mean_a, mean_a2,
                                             reconstruction)
     a_opt = error_columns(p, c, mean_a2).optimal.ravel().tolist()
@@ -267,7 +269,7 @@ def run_reconstruct(config: SweepConfig, lam: float) -> Table:
 def run_lgi(config: SweepConfig) -> Table:
     """The quasi-probabilities of every outcome and both target eigenvalues over the
     grid, with a negativity flag per strength."""
-    ((p, c),) = _grid_terms(config, [make_linear_polarization(config.input_angle_deg)])
+    p, c = _grid_terms(config, make_linear_polarization(config.input_angle_deg))
     entries, negativity = quasi_entries(p, c)
     # (N, a, outcome) -> one column per (a, outcome), a = +1 first
     quasi = entries.transpose(1, 2, 0).reshape(-1, len(p)).tolist()
@@ -324,10 +326,10 @@ def _draw_counts(config: SweepConfig, n_photons: int, seed: int) -> np.ndarray:
     as an int64 array shaped (N, run, outcome)."""
     n_photons = require_integer("n_photons", n_photons, 1, _MAX_DRAWS)
     seed = require_integer("rng_seed", seed, 0)
-    states = [make_linear_polarization(config.input_angle_deg), *_CALIBRATION]
-    pvals = np.stack([p for p, _ in _grid_terms(config, states)], axis=1)
-    return np.array([[np.random.default_rng((seed + n, run)).multinomial(n_photons, p / p.sum())
-                      for run, p in enumerate(point)] for n, point in enumerate(pvals)])
+    p, _ = _grid_terms(config, [make_linear_polarization(config.input_angle_deg), *_CALIBRATION])
+    pvals = (p / p.sum(axis=-1, keepdims=True)).swapaxes(0, 1)  # (N, run, outcome)
+    return np.array([[np.random.default_rng((seed + n, run)).multinomial(n_photons, q)
+                      for run, q in enumerate(point)] for n, point in enumerate(pvals)])
 
 
 def monte_carlo_counts(setup: SetupParams, input_angle_deg: float, n_photons: int,
@@ -350,7 +352,7 @@ def _count_columns(theta, input_angle_deg: float, n: int, counts: np.ndarray) ->
     A symmetric eigenstate confusion gives eps_eigen 4 p_error."""
     # Counts and n up to 2**53 are exact floats, so numpy's quotient is Python's k / n
     frequencies = (counts if max(n, counts.max()) <= 2**53 else counts.astype(object)) / n
-    psi, plus, minus = frequencies.astype(float).transpose(1, 0, 2)
+    psi, plus, minus = frequencies.transpose(1, 0, 2).astype(float, order="C")
     mean_a = math.sin(2.0 * math.radians(input_angle_deg))
     p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
     p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
@@ -392,9 +394,9 @@ def bootstrap_standard_errors(record: CountRecord, n_resamples: int,
     rng_seed = require_integer("rng_seed", rng_seed, 0)
     n = record.n_photons
     frequencies = record._counts()[0] / n
-    rng = np.random.default_rng((rng_seed,))
-    draws = rng.multinomial(n, [f / f.sum() for f in frequencies], size=(n_resamples, 3))
-    columns = _count_columns([record.setup.theta_deg] * n_resamples, record.input_angle_deg,
-                             n, draws)
+    draws = np.random.default_rng((rng_seed,)).multinomial(
+        n, frequencies / frequencies.sum(axis=-1, keepdims=True), size=(n_resamples, 3))
+    columns = _count_columns(np.full(n_resamples, record.setup.theta_deg),
+                             record.input_angle_deg, n, draws)
     errors = zip(SWEEP_COLUMNS, np.std(columns, axis=1, ddof=1).tolist(), np.isnan(columns).any(1))
     return {key: error for key, error, unresolved in errors if not unresolved}

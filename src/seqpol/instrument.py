@@ -132,7 +132,7 @@ def effect_stack(theta_grid: Sequence[float], v_pm: float, v_hv: float) -> np.nd
     c, s = np.cos(two_theta), np.sin(two_theta)
     # (m2 = +1): (c, m1 s); (m2 = -1): (s, m1 c), in OUTCOMES order.  Times the reciprocal,
     # not / _SQRT2: numpy divides a complex array by a real one so, as the oracle did.
-    vectors = np.stack([c, s, s, c, c, -s, s, -c], axis=-1).reshape(-1, 4, 2) * (1.0 / _SQRT2)
+    vectors = (np.array([c, s, s, c, c, -s, s, -c]) * (1.0 / _SQRT2)).T.reshape(-1, 4, 2)
     dephased = vectors[..., :, None] * vectors[..., None, :]
     dephased[..., 0, 1] *= v_pm
     dephased[..., 1, 0] *= v_pm
@@ -146,15 +146,15 @@ def effect_stack(theta_grid: Sequence[float], v_pm: float, v_hv: float) -> np.nd
 
 def _check_effects(effects: np.ndarray) -> None:
     """The checks of :class:`PovmElement` and :func:`validate_povm` over a real stack."""
-    if not np.all(np.isfinite(effects)):
+    if not np.isfinite(effects).all():
         raise InvalidInputError("effect entries must be finite")
-    if np.any(np.abs(effects - effects.swapaxes(-1, -2)) > TAU_HERM):
+    if (np.abs(effects - effects.swapaxes(-1, -2)) > TAU_HERM).any():
         raise InvalidInputError("an effect is not Hermitian within tolerance")
     diagonal = np.diagonal(effects, axis1=-2, axis2=-1)
     radius = np.hypot(0.5 * (diagonal[..., 0] - diagonal[..., 1]), np.abs(effects[..., 0, 1]))
-    if np.any(0.5 * (diagonal[..., 0] + diagonal[..., 1]) - radius < -TAU_ALG):
+    if (0.5 * (diagonal[..., 0] + diagonal[..., 1]) - radius < -TAU_ALG).any():
         raise InvalidInputError("an effect is not positive semidefinite")
-    if np.any(np.abs(effects.sum(axis=1) - np.eye(2)) >= TAU_POVM):
+    if (np.abs(effects.sum(axis=1) - np.eye(2)) >= TAU_POVM).any():
         raise InvalidInputError("the effects of a setting do not sum to the identity")
 
 

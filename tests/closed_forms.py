@@ -2,20 +2,24 @@
 
 The effects are built one outcome at a time from the ideal state vectors, in
 the loop form that ``seqpol.instrument.effect_stack`` replaces for whole
-grids, and their (P, c) pairs are taken in complex128, as
-``seqpol.analysis.stack_terms`` took them before it ran in float64.  The
-conditional averages follow from the ideal effects with a symmetric PM error
-probability and an HV readout that is fully random for P and M eigenstate
-inputs.  The error report is the outcome-by-outcome loop
-that ``seqpol.analysis.error_columns`` replaces for whole tables.  The count
-table keeps every count a Python int in an object array, as
-``seqpol.harness`` did before it estimated int64 draws directly, and a record's
-counts are checked one by one before their run totals.  The
-crossing search reads both curves from a per-strength dict of outcome pairs,
-as ``seqpol.harness.find_crossings`` did before it read them from arrays.  The
-renderers write rows one cell at a time, as ``seqpol.cli`` did before it
-wrote its tables by columns.  The two marginals of a quasi-probability table
-are sums over its entries.
+grids, and their (P, c) pairs are taken in complex128 and one state at a
+time, as ``seqpol.analysis.stack_terms`` took them before it ran in float64
+and stacked the densities of several states.  The draws of a grid normalize
+each run's probabilities on their own.  The conditional averages follow from
+the ideal effects with a symmetric PM error probability and an HV readout
+that is fully random for P and M eigenstate inputs.  The error report is the
+outcome-by-outcome loop that ``seqpol.analysis.error_columns`` replaces for
+whole tables, and its outcome sums are one cumulative sum along each row, as
+they were before they added the columns in turn.  The estimate columns take
+three error passes, as ``seqpol.harness`` took them before the m1 pass with
+the eigenvalue assignment also gave the minimal m1 error.  The count table
+keeps every count a Python int in an object array, as ``seqpol.harness`` did
+before it estimated int64 draws directly, and a record's counts are checked
+one by one before their run totals.  The crossing search reads both curves
+from a per-strength dict of outcome pairs, as ``seqpol.harness.find_crossings``
+did before it read them from arrays.  The renderers write rows one cell at a
+time, as ``seqpol.cli`` did before it wrote its tables by columns.  The two
+marginals of a quasi-probability table are sums over its entries.
 """
 
 import csv
@@ -29,6 +33,7 @@ from seqpol import (
     EstimateTable,
     DegenerateBranchError,
     InvalidInputError,
+    QubitState,
     SeqpolError,
     SetupParams,
     UnresolvableOutcomeError,
@@ -36,17 +41,17 @@ from seqpol import (
     make_stokes,
 )
 from seqpol.algebra import TAU_ALG, PovmElement, PovmSet
-from seqpol.analysis import P_FLOOR, ErrorReport, calibrated_columns, symmetric_confusion
+from seqpol.analysis import (P_FLOOR, ErrorReport, calibrated_columns, error_columns,
+                             symmetric_confusion)
 from seqpol.harness import (
     BISECTION_TOL_DEG,
     CROSSING_BRANCH_SWAP,
     CROSSING_SIGN_FLIP,
     NOISE_EPS,
     Crossing,
-    _estimate_columns,
     _estimate_table,
 )
-from seqpol.instrument import OUTCOMES, THETA_MAX_DEG
+from seqpol.instrument import OUTCOMES, PROBABILITY_SUM_TOL, THETA_MAX_DEG
 
 _SQRT2 = math.sqrt(2.0)
 
@@ -146,7 +151,11 @@ def oracle_effect_stack(thetas, v_pm: float, v_hv: float) -> np.ndarray:
 def oracle_stack_terms(state, effects, observable):
     """Arrays P(m) = Tr(rho E_m) and c_m = Re Tr(rho E_m A) over a stack of effects, in
     complex128: a non-real probability or one outside [0, 1] by more than ``TAU_ALG``
-    is an error, and in-band values are clamped to [0, 1]."""
+    is an error, and in-band values are clamped to [0, 1].  A sequence of states
+    gives both arrays a leading state axis, one state at a time."""
+    if not isinstance(state, QubitState):
+        p, c = zip(*(oracle_stack_terms(s, effects, observable) for s in state))
+        return np.array(p), np.array(c)
     weighted = state.density @ effects
     p = np.trace(weighted, axis1=-2, axis2=-1)
     c = np.trace(weighted @ observable.op, axis1=-2, axis2=-1).real
@@ -159,6 +168,41 @@ def oracle_stack_terms(state, effects, observable):
         raise InvalidInputError(f"outcome probability {float(p[out_of_range][0])!r} is out of range")
     # as min(1, max(0, p)), which also turns -0.0 into 0.0
     return np.where(p <= 0.0, 0.0, np.minimum(p, 1.0)), c
+
+
+def oracle_draw_counts(config, n_photons: int, seed: int) -> np.ndarray:
+    """The counts of ``seqpol.harness._draw_counts``: grid point n, run r (input, P, M)
+    draws from its own generator seeded by (seed + n, r), each run's probabilities
+    from the oracle stack divided by their own sum."""
+    effects = oracle_effect_stack(config.theta_grid, config.v_pm, config.v_hv)
+    angles = (config.input_angle_deg, 45.0, -45.0)
+    runs = [oracle_stack_terms(make_linear_polarization(a), effects, make_stokes("PM"))[0]
+            for a in angles]
+    return np.array([[np.random.default_rng((seed + n, r)).multinomial(n_photons, p[n] / p[n].sum())
+                      for r, p in enumerate(runs)] for n in range(len(effects))])
+
+
+def oracle_running_sum(start, terms):
+    """start + terms[:, 0] + terms[:, 1] + ... as one cumulative sum along each row."""
+    return np.hstack([np.full((len(terms), 1), start), terms]).cumsum(axis=1)[:, -1]
+
+
+def oracle_estimate_columns(theta, p_error, p, c, mean_square, nonnegative, eps_eigen=None):
+    """The ``(15, N)`` estimate columns from three error passes: the optimal m1 and m1m2
+    estimates, then the eigenvalue assignment to m1 on the rows where ``eps_eigen`` is
+    None or NaN.  The probability checks come last."""
+    p_m1, c_m1 = (0.0 + x[:, ::2] + x[:, 1::2] for x in (p, c))
+    opt_m1 = error_columns(p_m1, c_m1, mean_square, nonnegative=nonnegative)
+    opt_m1m2 = error_columns(p, c, mean_square, nonnegative=nonnegative)
+    eigen = np.full(len(p), np.nan) if eps_eigen is None else np.array(eps_eigen)
+    todo = np.isnan(eigen)
+    eigen[todo] = error_columns(p_m1[todo], c_m1[todo], mean_square, (1.0, -1.0),
+                                nonnegative).epsilon_sq
+    off_one = np.abs(0.0 + p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3] - 1.0) > PROBABILITY_SUM_TOL
+    if not (np.isfinite(p) & (p >= 0.0)).all() or off_one.any():
+        raise InvalidInputError("outcome probabilities must be finite, >= 0 and sum to one")
+    return np.array([theta, p_error, *p.T, *opt_m1.optimal.T, *opt_m1m2.optimal.T,
+                     eigen, opt_m1.epsilon_sq, opt_m1m2.epsilon_sq], dtype=float)
 
 
 def oracle_count_table(theta, input_angle_deg: float, n: int, counts):
@@ -174,8 +218,9 @@ def oracle_count_table(theta, input_angle_deg: float, n: int, counts):
     p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
     p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
     # Sampling noise can push plug-in errors slightly negative: no sign check.
-    return _estimate_table(_estimate_columns(theta, p_error, p, c, 1.0, nonnegative=False,
-                                             eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan)))
+    return _estimate_table(oracle_estimate_columns(
+        theta, p_error, p, c, 1.0, nonnegative=False,
+        eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan)))
 
 
 def oracle_record_table(setup, input_angle_deg: float, n: int, rng_seed: int, *runs):

@@ -408,6 +408,11 @@ class TestOzawaError:
             ErrorReport(epsilon_sq=float(np.nextafter(bound, math.inf)), **fields)
         assert str(excinfo.value).startswith("error decomposition does not reconcile")
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, -0.1])
+    def test_a_non_finite_or_negative_excluded_probability_raises(self, value):
+        with pytest.raises(InvalidInputError, match="^excluded probability must be finite"):
+            ErrorReport(0.5, 1.0, 0.0, 0.5, 0.0, value)
+
     @pytest.mark.parametrize("field", ["mean_square", "estimate_variance", "residual"])
     def test_a_non_finite_term_raises(self, field):
         fields = dict(epsilon_sq=1.0, mean_square=1.0, variance_initial=0.0,

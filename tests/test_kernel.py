@@ -3,13 +3,18 @@
 ``effect_stack`` builds every effect of a strength grid in one float64 array
 and ``stack_terms`` takes (P, c) over it; the loop-built ``oracle_povm`` with the
 scalar ``born_probability`` and ``real_cross_correlation`` is the reference, and
-with the complex128 ``oracle_stack_terms`` it pins the real kernel bit for bit.
+with the complex128 ``oracle_stack_terms`` it pins the real kernel bit for bit,
+also over the stacked densities of several states.  A grid draw has the
+per-run normalization of ``oracle_draw_counts`` as reference.
 ``error_columns`` turns whole (P, c) tables into estimates and errors; the
 outcome-by-outcome ``oracle_error_report`` is its reference, also for the
-calibrated ``two_level_*`` errors of probability tables keyed by outcome, and a
-bootstrap drawing its resamples one by one is the reference of
-``bootstrap_standard_errors``.  The count table of int64 draws and of
-hand-built records has the object-array ``oracle_count_table`` as reference.
+calibrated ``two_level_*`` errors of probability tables keyed by outcome.  Its
+left-to-right sums have the cumulative sums of ``oracle_running_sum`` as
+reference, and the two error passes of an estimate table the three of
+``oracle_estimate_columns``.  A bootstrap drawing its resamples one by one is
+the reference of ``bootstrap_standard_errors``.  The count table of int64
+draws and of hand-built records has the object-array ``oracle_count_table`` as
+reference.
 """
 
 import csv
@@ -43,18 +48,21 @@ from seqpol.algebra import (
     real_cross_correlation,
     validate_povm,
 )
-from seqpol.analysis import (P_FLOOR, calibrated_columns, error_columns, moments, stack_terms,
-                             two_level_conditional_average)
+from seqpol.analysis import (P_FLOOR, _running_sum, calibrated_columns, error_columns, moments,
+                             stack_terms, symmetric_confusion, two_level_conditional_average)
 from seqpol.cli import main
 from seqpol.harness import SWEEP_COLUMNS
 from seqpol.instrument import OUTCOMES, _check_effects, effect_stack, pm_error_probabilities
 
 from closed_forms import (
     oracle_count_table,
+    oracle_draw_counts,
     oracle_effect_stack,
     oracle_error_report,
+    oracle_estimate_columns,
     oracle_povm,
     oracle_record_table,
+    oracle_running_sum,
     oracle_stack_terms,
 )
 from conftest import (
@@ -195,6 +203,41 @@ class TestStackTerms:
         assert repr([x.tolist() for x in stack_terms(state, effects, target)]) == repr(
             [x.tolist() for x in oracle_stack_terms(state, oracle, target)])
 
+    @settings(max_examples=200, deadline=None)
+    @given(
+        thetas=st.lists(with_edges(THETA_EDGES, 0.0, 22.5), min_size=1, max_size=4),
+        v_pm=with_edges((0.0, 1.0), 0.0, 1.0),
+        v_hv=with_edges((0.0, 1.0), 0.0, 1.0),
+        angles=st.lists(with_edges(ANGLE_EDGES, -180.0, 180.0), min_size=1, max_size=3),
+        seed=st.integers(0, 2**32 - 1),
+        axis=st.sampled_from(("HV", "PM")),
+    )
+    def test_stacked_states_equal_the_per_state_oracle(self, thetas, v_pm, v_hv, angles, seed,
+                                                       axis):
+        # H, V and eigenstate inputs among the linear ones, and a complex pure and
+        # mixed state: one product over the stacked densities gives each state's
+        # pairs bit for bit behind a leading state axis, and one state its own shapes
+        rng = np.random.default_rng(seed)
+        states = [*map(make_linear_polarization, angles), random_pure_state(rng),
+                  random_mixed_state(rng)]
+        effects = effect_stack(thetas, v_pm, v_hv)
+        target = make_stokes(axis)
+        p, c = stack_terms(states, effects, target)
+        assert p.shape == c.shape == (len(states), len(thetas), 4)
+        oracle = oracle_stack_terms(states, oracle_effect_stack(thetas, v_pm, v_hv), target)
+        assert repr([p.tolist(), c.tolist()]) == repr([x.tolist() for x in oracle])
+        for n, state in enumerate(states):
+            assert repr([x.tolist() for x in stack_terms(state, effects, target)]) == repr(
+                [p[n].tolist(), c[n].tolist()])
+
+    def test_checks_run_over_the_stacked_states(self, psi_67_5):
+        # the second state's probability is out of range, and a stack of one effect works
+        effects = np.array([[0.5, 0.0], [0.0, 1.2]])
+        with pytest.raises(InvalidInputError, match="out of range"):
+            stack_terms([psi_67_5, make_linear_polarization(90.0)], np.array([effects]), PM)
+        p, c = stack_terms([psi_67_5, psi_67_5], np.eye(2), PM)
+        assert p.tolist() == [1.0, 1.0] and c.shape == (2,)
+
     @pytest.mark.parametrize("argv", [
         ["montecarlo", "--n-photons", "1"],
         ["montecarlo", "--n-photons", "1", "--v-pm", "0", "--v-hv", "1", "--input-angle", "0"],
@@ -281,6 +324,93 @@ class TestErrorColumns:
         # the same error passes unscreened, as on the counts route
         assert error_columns(p, np.array([[0.5, -0.5]]), 0.5).epsilon_sq.tolist() == [-0.5]
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_a_non_finite_probability(self, value):
+        # a NaN would count as unresolvable, and an infinite one give the assignment 0.0
+        for assignment in (None, (1.0, -1.0)):
+            with pytest.raises(InvalidInputError, match="probabilities .* must be finite"):
+                error_columns(np.array([[value, 0.5]]), np.array([[0.1, 0.1]]), 1.0, assignment)
+
+
+# The photon numbers at the edges of exact float division: one photon, a typical
+# run, the first integer a double cannot hold, and the largest C long.
+PHOTON_EDGES = (1, 10**4, 2**53 + 1, 2**63 - 1)
+# The P and M eigenstates, where a calibration run equals the input run, and H and V.
+EIGENSTATE_EDGES = (45.0, -45.0, 0.0, 90.0)
+
+
+# Floats that include both zeros, the infinities and NaN, for sums that must keep their order.
+EDGE_FLOATS = st.one_of(st.sampled_from((0.0, -0.0, math.inf, -math.inf, math.nan, 1e308)),
+                        st.floats(allow_nan=True, allow_infinity=True))
+
+
+@settings(max_examples=300, deadline=None)
+@given(start=EDGE_FLOATS, rows=st.integers(0, 4), columns=st.integers(0, 5), data=st.data())
+def test_running_sum_equals_the_cumulative_sum(start, rows, columns, data):
+    entries = data.draw(st.lists(EDGE_FLOATS, min_size=rows * columns, max_size=rows * columns))
+    terms = np.array(entries, dtype=float).reshape(rows, columns)
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert repr(_running_sum(start, terms).tolist()) == repr(
+            oracle_running_sum(start, terms).tolist())
+
+
+class TestEstimateColumns:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        thetas=st.lists(with_edges(THETA_EDGES, 0.0, 22.5), min_size=1, max_size=5),
+        v_pm=with_edges((0.0, 1.0), 0.0, 1.0),
+        v_hv=with_edges((0.0, 1.0), 0.0, 1.0),
+        angle=with_edges(ANGLE_EDGES, -180.0, 180.0),
+    )
+    def test_two_passes_equal_three_on_the_operator_route(self, thetas, v_pm, v_hv, angle):
+        psi = make_linear_polarization(angle)
+        p, c = stack_terms(psi, effect_stack(thetas, v_pm, v_hv), PM)
+        args = (thetas, pm_error_probabilities(thetas, v_pm), p, c, moments(psi, PM)[1], True)
+        assert repr(harness._estimate_columns(*args).tolist()) == repr(
+            oracle_estimate_columns(*args).tolist())
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        theta=with_edges(THETA_EDGES, 0.0, 22.5),
+        v_pm=with_edges((0.0, 1.0), 0.0, 1.0),
+        v_hv=with_edges((0.0, 1.0), 0.0, 1.0),
+        angle=with_edges(EIGENSTATE_EDGES, -180.0, 180.0),
+        n=st.one_of(st.sampled_from(PHOTON_EDGES), st.integers(1, 10**9)),
+        seed=st.integers(0, 2**32),
+    )
+    def test_two_passes_equal_three_on_the_count_route(self, theta, v_pm, v_hv, angle, n, seed):
+        # 50 resamples of the three runs; the eigenstate error 4 p_error is given on the
+        # rows with a symmetric confusion and on every second row, NaN on the others,
+        # so that rows of both kinds occur
+        draws = harness._draw_counts(harness.SweepConfig((theta,), v_pm, v_hv, angle), n, seed)
+        pvals = draws[0] / n
+        resampled = np.random.default_rng(seed).multinomial(n, pvals / pvals.sum(-1, keepdims=True),
+                                                            size=(50, 3))
+        psi, plus, minus = (resampled / n).transpose(1, 0, 2)
+        mean_a = math.sin(2.0 * math.radians(angle))
+        p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
+        p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3],
+                                                 minus[:, 0] + minus[:, 1])
+        eps_eigen = np.where(symmetric | (np.arange(50) % 2 == 0), 4.0 * p_error, np.nan)
+        args = ([theta] * 50, p_error, p, c, 1.0, False, eps_eigen)
+        assert repr(harness._estimate_columns(*args).tolist()) == repr(
+            oracle_estimate_columns(*args).tolist())
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    thetas=st.lists(with_edges(THETA_EDGES, 0.0, 22.5), min_size=1, max_size=4),
+    v_pm=with_edges((0.0, 1.0), 0.0, 1.0),
+    v_hv=with_edges((0.0, 1.0), 0.0, 1.0),
+    angle=with_edges(ANGLE_EDGES, -180.0, 180.0),
+    n=st.one_of(st.sampled_from(PHOTON_EDGES), st.integers(1, 2**63 - 1)),
+    seed=st.integers(0, 2**31),
+)
+def test_grid_draws_equal_per_run_normalization(thetas, v_pm, v_hv, angle, n, seed):
+    config = harness.SweepConfig(tuple(thetas), v_pm, v_hv, angle)
+    assert np.array_equal(harness._draw_counts(config, n, seed),
+                          oracle_draw_counts(config, n, seed))
+
 
 def _sequential_bootstrap(record, n_resamples, rng_seed):
     """The bootstrap one resample at a time: a record and an estimate per draw."""
@@ -316,13 +446,6 @@ def test_bootstrap_equals_sequential_resampling(n_photons):
     batched = bootstrap_standard_errors(record, 40, rng_seed=3)
     assert batched == _sequential_bootstrap(record, 40, rng_seed=3)
     assert list(batched) == [key for key in SWEEP_COLUMNS if key in batched]
-
-
-# The photon numbers at the edges of exact float division: one photon, a typical
-# run, the first integer a double cannot hold, and the largest C long.
-PHOTON_EDGES = (1, 10**4, 2**53 + 1, 2**63 - 1)
-# The P and M eigenstates, where a calibration run equals the input run, and H and V.
-EIGENSTATE_EDGES = (45.0, -45.0, 0.0, 90.0)
 
 
 def _cells_or_error(table_step, *args):
