@@ -29,7 +29,8 @@ gives them over a real stack of effects, for a whole strength grid at once;
 from the scalar algebra; :func:`calibrated_columns` gives them from
 eigenstate-calibration probabilities.  One array step, :func:`error_columns`,
 turns ``(N, K)`` tables of them into the optimal assignments and the squared
-errors of N settings; :func:`error_report` is its one-row view.
+errors of N settings, the same for every caller; :func:`error_report` is its
+one-row view, where the operator route rejects a negative error.
 """
 
 import math
@@ -214,9 +215,6 @@ class EstimateTable:
     def __getitem__(self, label) -> float | None:
         return self.assignments[label]
 
-    def labels(self) -> tuple[Hashable, ...]:
-        return tuple(self.assignments)
-
 
 @dataclass(frozen=True)
 class ErrorReport:
@@ -247,6 +245,7 @@ class ErrorReport:
     def __post_init__(self):
         fields = (self.epsilon_sq, self.mean_square, self.estimate_variance, self.residual)
         _check_decomposition(*np.atleast_1d(*fields, self.excluded_probability))
+        require_real("variance_initial", self.variance_initial)
 
 
 def _check_decomposition(epsilon_sq, mean_square, estimate_variance, residual, excluded) -> None:
@@ -342,8 +341,7 @@ def _running_sum(start: float, terms: np.ndarray) -> np.ndarray:
 
 @np.errstate(over="ignore", invalid="ignore")
 def error_columns(
-    p: np.ndarray, c: np.ndarray, mean_square: float,
-    assignment: Sequence[float] | None = None, nonnegative: bool = False,
+    p: np.ndarray, c: np.ndarray, mean_square: float, assignment: Sequence[float] | None = None,
 ) -> ErrorColumns:
     """Optimal assignments and the squared error of an assignment over ``(N, K)`` tables.
 
@@ -354,10 +352,18 @@ def error_columns(
     2 A_m c_m), the deviation from the optimal assignment booked as
     ``residual``.  Unresolvable outcomes add their probability to
     ``excluded_probability``.  Sums run over the columns from the left, as a
-    scalar loop over the outcomes would.  The checks of :class:`EstimateTable`
-    and :class:`ErrorReport` run on all rows at once, and ``nonnegative``
-    rejects a negative error, a model fault on the operator route.
+    scalar loop over the outcomes would.  ``p`` and ``c`` are 2-D arrays of one
+    shape, ``mean_square`` a real number and ``assignment`` K of them; an array
+    that is not float64 follows the real rule entry by entry.  The checks of
+    :class:`EstimateTable` and :class:`ErrorReport` run on all rows at once.  A
+    negative error passes: each route decides what it means.
     """
+    if getattr(p, "ndim", None) != 2:
+        raise InvalidInputError(f"p must be a 2-D array, got {shown(p)}")
+    if getattr(c, "shape", None) != p.shape:
+        raise InvalidInputError(f"c must be an array of the shape {p.shape} of p, got {shown(c)}")
+    p, c = (x if x.dtype == float else require_reals(name, x) for name, x in (("p", p), ("c", c)))
+    mean_square = require_real("mean_square", mean_square)
     resolvable = p > P_FLOOR
     optimal = np.divide(c, p, out=np.full(p.shape, np.nan), where=resolvable)
     if not (np.isfinite(p).all() and (np.isfinite(optimal) == resolvable).all()):
@@ -367,7 +373,12 @@ def error_columns(
     if assignment is None:
         epsilon_sq, residual = mean_square - estimate_variance, np.zeros(len(p))
     else:
-        assigned = np.asarray(assignment, dtype=float)
+        assigned = (assignment if getattr(assignment, "dtype", None) == float
+                    else require_reals("assignment", assignment)
+                    if isinstance(assignment, (Sequence, np.ndarray)) else None)
+        if assigned is None or assigned.shape != p.shape[1:]:
+            raise InvalidInputError(f"assignment must hold {p.shape[1]} real numbers, one per "
+                                    f"outcome, got {shown(assignment)}")
         raw = assigned * assigned * p - 2.0 * assigned * c
         epsilon_sq = _running_sum(mean_square, raw)
         # Without a stable pivot, booking the raw error terms against the residual
@@ -375,8 +386,6 @@ def error_columns(
         deviation = np.float_power(assigned - optimal, 2.0) * p
         residual = _running_sum(0.0, np.where(resolvable, deviation, raw))
     _check_decomposition(epsilon_sq, mean_square, estimate_variance, residual, excluded)
-    if nonnegative:
-        _require_nonnegative(epsilon_sq)
     return ErrorColumns(optimal, epsilon_sq, estimate_variance, residual, excluded)
 
 
@@ -393,16 +402,19 @@ def error_report(
 ) -> tuple[EstimateTable, ErrorReport]:
     """The one-row view of :func:`error_columns` over the pairs of ``labels``: the optimal
     estimates, ``None`` for an unresolvable outcome, and the minimal error, or Ozawa's
-    error of ``assignments``."""
+    error of ``assignments``.  ``nonnegative`` rejects a negative error, a model fault
+    on the operator route."""
     fixed = None
     if assignments is not None:
-        if set(assignments.labels()) != set(labels):
+        if set(assignments.assignments) != set(labels):
             raise InvalidInputError("assignment table must cover exactly the outcome set")
         fixed = [assignments[label] for label in labels]
         if any(value is None for value in fixed):
             raise InvalidInputError("every outcome needs a finite assignment for error evaluation")
-    optimal, epsilon_sq, *decomposition = (column[0].tolist() for column in error_columns(
-        np.reshape(p, (1, -1)), np.reshape(c, (1, -1)), mean_square, fixed, nonnegative))
+    columns = error_columns(np.reshape(p, (1, -1)), np.reshape(c, (1, -1)), mean_square, fixed)
+    if nonnegative:
+        _require_nonnegative(columns.epsilon_sq)
+    optimal, epsilon_sq, *decomposition = (column[0].tolist() for column in columns)
     table = EstimateTable({label: None if math.isnan(a) else a for label, a in zip(labels, optimal)})
     return table, ErrorReport(epsilon_sq, mean_square, variance_initial, *decomposition)
 

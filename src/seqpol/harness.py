@@ -7,7 +7,9 @@ Every table starts from one grid step: a single
 input state against the PM target.  One estimate step makes their
 ``SWEEP_COLUMNS`` one ``(15, N)`` float array, NaN for an unresolvable estimate,
 with two :func:`~seqpol.analysis.error_columns` passes: m1 with the eigenvalue
-assignment, which also gives the minimal m1 error, and both outcomes.  Counts
+assignment, which also gives the minimal m1 error, and both outcomes.  Each
+route then applies its own rule: a sweep rejects a negative error, and a count
+table reads a symmetric eigenstate confusion as the eigenvalue error.  Counts
 stay int64 arrays from the draw to the estimate, a bootstrap takes one ``std``
 over all its resamples, and only the :data:`Table` view holds lists (``None``
 for NaN).  :func:`analytic_row`, :func:`monte_carlo_counts` and
@@ -46,6 +48,7 @@ from .instrument import (
     SetupParams,
     V_HV_DEFAULT,
     V_PM_DEFAULT,
+    _grid_entries,
     _require_thetas,
     effect_stack,
     pm_error_probabilities,
@@ -83,6 +86,8 @@ Table = dict[str, list]
 CROSSING_SIGN_FLIP = "aopt[m1=-1] zero crossing"
 CROSSING_BRANCH_SWAP = "aopt[m1=-1 m2=+1] overtakes aopt[m1=+1 m2=+1]"
 
+# The eigenvalue assignment to m1, in M1_VALUES order.
+_M1_EIGENVALUES = np.array([1.0, -1.0])
 # The target observable of every command, and the eigenstates of the calibration runs.
 _PM = make_stokes("PM")
 _CALIBRATION = (make_linear_polarization(45.0), make_linear_polarization(-45.0))
@@ -103,7 +108,7 @@ class SweepConfig:
     input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG
 
     def __post_init__(self):
-        grid = self.theta_grid if isinstance(self.theta_grid, np.ndarray) else tuple(self.theta_grid)
+        grid = _grid_entries(self.theta_grid)
         if not len(grid):
             raise InvalidInputError("theta_grid needs at least one strength setting")
         _require_thetas(grid[:1])  # the first setting, then the visibilities, then the rest
@@ -114,28 +119,23 @@ class SweepConfig:
                            require_real("input_angle_deg", self.input_angle_deg))
 
 
-def _estimate_columns(theta, p_error, p: np.ndarray, c: np.ndarray, mean_square: float,
-                      nonnegative: bool, eps_eigen: np.ndarray | float = math.nan) -> np.ndarray:
-    """The ``SWEEP_COLUMNS`` of N settings from their ``(N, 4)`` tables of P and c, as
+def _estimate_columns(theta, p_error, p, c, mean_square: float) -> np.ndarray:
+    """The ``SWEEP_COLUMNS`` of N settings from their ``(N, 4)`` arrays P and c, as
     one ``(15, N)`` float array with NaN for an unresolvable estimate.
 
     P gets the checks of an :class:`~seqpol.instrument.OutcomeDistribution`.  The
-    errors belong to the eigenvalue assignment to m1 (``eps_eigen`` where that is
-    not NaN), the optimal estimate from m1 alone (P and c add over m2; ``mean_square``
-    less the estimate variance of the assignment's pass) and from both outcomes.
+    errors belong to the eigenvalue assignment to m1, the optimal estimate from m1
+    alone (P and c add over m2; ``mean_square`` less the estimate variance of the
+    assignment's pass) and from both outcomes, the same for every caller.
     """
     off_one = np.abs(0.0 + p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3] - 1.0) > PROBABILITY_SUM_TOL
     if not (np.isfinite(p) & (p >= 0.0)).all() or off_one.any():
         raise InvalidInputError("outcome probabilities must be finite, >= 0 and sum to one")
     p_m1, c_m1 = (0.0 + x[:, ::2] + x[:, 1::2] for x in (p, c))
-    m1 = error_columns(p_m1, c_m1, mean_square, (1.0, -1.0), nonnegative)
-    eps_opt_m1 = mean_square - m1.estimate_variance
-    if nonnegative:
-        _require_nonnegative(eps_opt_m1)
-    opt_m1m2 = error_columns(p, c, mean_square, nonnegative=nonnegative)
-    eigen = np.where(np.isnan(eps_eigen), m1.epsilon_sq, eps_eigen)
-    return np.array([theta, p_error, *p.T, *m1.optimal.T, *opt_m1m2.optimal.T,
-                     eigen, eps_opt_m1, opt_m1m2.epsilon_sq], dtype=float)
+    m1 = error_columns(p_m1, c_m1, mean_square, _M1_EIGENVALUES)
+    opt_m1m2 = error_columns(p, c, mean_square)
+    return np.array([theta, p_error, *p.T, *m1.optimal.T, *opt_m1m2.optimal.T, m1.epsilon_sq,
+                     mean_square - m1.estimate_variance, opt_m1m2.epsilon_sq], dtype=float)
 
 
 def _estimate_table(columns: np.ndarray) -> Table:
@@ -159,7 +159,9 @@ def run_sweep(config: SweepConfig) -> Table:
     _, mean_square, _ = moments(state, _PM)
     p, c = _grid_terms(config, state)
     p_error = pm_error_probabilities(config.theta_grid, config.v_pm)
-    return _estimate_table(_estimate_columns(config.theta_grid, p_error, p, c, mean_square, True))
+    columns = _estimate_columns(config.theta_grid, p_error, p, c, mean_square)
+    _require_nonnegative(columns[12:])  # a negative error is a model fault here
+    return _estimate_table(columns)
 
 
 def analytic_row(params: SetupParams, input_angle_deg: float = DEFAULT_INPUT_ANGLE_DEG) -> dict:
@@ -357,8 +359,9 @@ def _count_columns(theta, input_angle_deg: float, n: int, counts: np.ndarray) ->
     p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
     p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3], minus[:, 0] + minus[:, 1])
     # Sampling noise can push plug-in errors slightly negative: no sign check.
-    return _estimate_columns(theta, p_error, p, c, 1.0, nonnegative=False,
-                             eps_eigen=np.where(symmetric, 4.0 * p_error, np.nan))
+    columns = _estimate_columns(theta, p_error, p, c, 1.0)
+    columns[12] = np.where(symmetric, 4.0 * p_error, columns[12])
+    return columns
 
 
 def run_montecarlo(config: SweepConfig, n_photons: int, seed: int) -> Table:

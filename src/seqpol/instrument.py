@@ -50,7 +50,7 @@ from .algebra import (
     QubitState,
     born_probability,
 )
-from .exceptions import InvalidInputError, require_real, require_reals
+from .exceptions import InvalidInputError, require_real, require_reals, shown
 
 V_PM_DEFAULT = 0.93
 V_HV_DEFAULT = 0.9976
@@ -67,10 +67,19 @@ _SQRT2 = math.sqrt(2.0)
 PROBABILITY_SUM_TOL = 1e-9
 
 
+def _grid_entries(theta_grid: Sequence[float]) -> Sequence:
+    """The entries of a strength grid: a 1-D array as it is, any other iterable as a tuple,
+    where each row of a 2-D grid is one entry, not a number.  A number is no grid."""
+    ndim = getattr(theta_grid, "ndim", None)
+    if ndim == 0 or not hasattr(theta_grid, "__iter__"):
+        raise InvalidInputError(f"theta_grid must be a one-dimensional sequence, "
+                                f"got {shown(theta_grid)}")
+    return theta_grid if ndim == 1 else tuple(theta_grid)
+
+
 def _require_thetas(theta_grid: Sequence[float]) -> np.ndarray:
-    """Strength settings as a float64 array; each row of a 2-D grid is one entry, not a number."""
-    grid = theta_grid if getattr(theta_grid, "ndim", 1) == 1 else list(theta_grid)
-    return require_reals("theta_deg", grid, 0, THETA_MAX_DEG, " degrees")
+    """Strength settings as a float64 array, from a one-dimensional grid."""
+    return require_reals("theta_deg", _grid_entries(theta_grid), 0, THETA_MAX_DEG, " degrees")
 
 
 def _require_outcome(outcome) -> tuple[int, int]:

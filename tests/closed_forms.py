@@ -11,8 +11,10 @@ that is fully random for P and M eigenstate inputs.  The error report is the
 outcome-by-outcome loop that ``seqpol.analysis.error_columns`` replaces for
 whole tables, and its outcome sums are one cumulative sum along each row, as
 they were before they added the columns in turn.  The estimate columns take
-three error passes, as ``seqpol.harness`` took them before the m1 pass with
-the eigenvalue assignment also gave the minimal m1 error.  The count table
+three error passes, each with its own sign check on the operator route and the
+eigenstate error 4 p_error as an input, as ``seqpol.harness`` took them before
+the m1 pass with the eigenvalue assignment also gave the minimal m1 error and
+before each route applied its own rule to the shared columns.  The count table
 keeps every count a Python int in an object array, as ``seqpol.harness`` did
 before it estimated int64 draws directly, and a record's counts are checked
 one by one before their run totals.  The crossing search reads both curves
@@ -41,8 +43,8 @@ from seqpol import (
     make_stokes,
 )
 from seqpol.algebra import TAU_ALG, PovmElement, PovmSet
-from seqpol.analysis import (P_FLOOR, ErrorReport, calibrated_columns, error_columns,
-                             symmetric_confusion)
+from seqpol.analysis import (DECOMPOSITION_TOL, P_FLOOR, ErrorReport, calibrated_columns,
+                             error_columns, symmetric_confusion)
 from seqpol.harness import (
     BISECTION_TOL_DEG,
     CROSSING_BRANCH_SWAP,
@@ -190,14 +192,22 @@ def oracle_running_sum(start, terms):
 def oracle_estimate_columns(theta, p_error, p, c, mean_square, nonnegative, eps_eigen=None):
     """The ``(15, N)`` estimate columns from three error passes: the optimal m1 and m1m2
     estimates, then the eigenvalue assignment to m1 on the rows where ``eps_eigen`` is
-    None or NaN.  The probability checks come last."""
+    None or NaN.  With ``nonnegative`` each pass rejects a negative error as it ends, as
+    every pass did while ``error_columns`` took the sign rule.  The probability checks
+    come last."""
+    def checked(columns):
+        for value in columns.epsilon_sq.tolist() if nonnegative else ():
+            if value < -DECOMPOSITION_TOL:
+                raise InvalidInputError(f"squared error {value!r} is negative beyond tolerance")
+        return columns
+
     p_m1, c_m1 = (0.0 + x[:, ::2] + x[:, 1::2] for x in (p, c))
-    opt_m1 = error_columns(p_m1, c_m1, mean_square, nonnegative=nonnegative)
-    opt_m1m2 = error_columns(p, c, mean_square, nonnegative=nonnegative)
+    opt_m1 = checked(error_columns(p_m1, c_m1, mean_square))
+    opt_m1m2 = checked(error_columns(p, c, mean_square))
     eigen = np.full(len(p), np.nan) if eps_eigen is None else np.array(eps_eigen)
     todo = np.isnan(eigen)
-    eigen[todo] = error_columns(p_m1[todo], c_m1[todo], mean_square, (1.0, -1.0),
-                                nonnegative).epsilon_sq
+    eigen[todo] = checked(error_columns(p_m1[todo], c_m1[todo], mean_square,
+                                        (1.0, -1.0))).epsilon_sq
     off_one = np.abs(0.0 + p[:, 0] + p[:, 1] + p[:, 2] + p[:, 3] - 1.0) > PROBABILITY_SUM_TOL
     if not (np.isfinite(p) & (p >= 0.0)).all() or off_one.any():
         raise InvalidInputError("outcome probabilities must be finite, >= 0 and sum to one")
@@ -245,7 +255,7 @@ def oracle_record_table(setup, input_angle_deg: float, n: int, rng_seed: int, *r
 def oracle_error_report(terms, mean_square, variance_initial, assignments=None):
     """Optimal estimates and the squared error of an assignment, one outcome at a time."""
     if assignments is not None:
-        if set(assignments.labels()) != set(terms):
+        if set(assignments.assignments) != set(terms):
             raise InvalidInputError("assignment table must cover exactly the outcome set")
         if any(value is None for value in assignments.assignments.values()):
             raise InvalidInputError("every outcome needs a finite assignment for error evaluation")

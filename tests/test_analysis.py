@@ -413,6 +413,11 @@ class TestOzawaError:
         with pytest.raises(InvalidInputError, match="^excluded probability must be finite"):
             ErrorReport(0.5, 1.0, 0.0, 0.5, 0.0, value)
 
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf, "x", None])
+    def test_a_prior_variance_that_is_not_a_finite_real_raises(self, value):
+        with pytest.raises(InvalidInputError, match="^variance_initial must be finite, got "):
+            ErrorReport(0.5, 1.0, value, 0.5, 0.0)
+
     @pytest.mark.parametrize("field", ["mean_square", "estimate_variance", "residual"])
     def test_a_non_finite_term_raises(self, field):
         fields = dict(epsilon_sq=1.0, mean_square=1.0, variance_initial=0.0,

@@ -131,6 +131,26 @@ def even_grid(a: float, b: float, steps: int) -> list[float]:
     return [min(hi, lo + (hi - lo) * i / max(steps - 1, 1)) for i in range(steps)]
 
 
+class TestRouteRules:
+    """Both routes on one unphysical stack, P = 0.25 and c = 0.5 per outcome: both m1
+    outcomes get the estimate 2, whose minimal errors are 1 - 4 = -3."""
+
+    P, C = np.full((1, 4), 0.25), np.full((1, 4), 0.5)
+
+    def test_the_sweep_rejects_a_negative_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "stack_terms", lambda *args: (self.P, self.C))
+        with pytest.raises(InvalidInputError,
+                           match=r"^squared error -3\.0 is negative beyond tolerance$"):
+            run_sweep(SweepConfig((5.0,)))
+
+    def test_the_count_table_keeps_a_negative_error(self, monkeypatch):
+        monkeypatch.setattr(harness, "calibrated_columns", lambda *args: (self.P, self.C))
+        counts = np.array([[[250, 250, 250, 250]] * 3])
+        columns = harness._count_columns([5.0], 67.5, 1000, counts)
+        # eps_eigen is 4 p_error, as the calibration runs confuse symmetrically
+        assert columns[12:].tolist() == [[2.0], [-3.0], [-3.0]]
+
+
 class TestFindCrossings:
     def test_perfect_visibility_root_is_closed_form(self):
         crossings = dict_of(find_crossings(SweepConfig(v_pm=1.0, v_hv=1.0)))

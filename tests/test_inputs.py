@@ -309,6 +309,20 @@ def test_a_strength_grid_has_one_dimension(call):
     assert str(excinfo.value) == "theta_deg must be finite, got array([1., 2.])"
 
 
+@pytest.mark.parametrize("call, grid", [
+    pytest.param(SweepConfig, 5.0, id="SweepConfig number"),
+    pytest.param(SweepConfig, np.array(5.0), id="SweepConfig 0-d array"),
+    pytest.param(SweepConfig, None, id="SweepConfig None"),
+    pytest.param(ARRAY_ENTRIES["effect_stack"][0], 5.0, id="effect_stack number"),
+    pytest.param(ARRAY_ENTRIES["pm_error_probabilities"][0], np.array(5.0),
+                 id="pm_error_probabilities 0-d array"),
+])
+def test_a_number_is_not_a_strength_grid(call, grid):
+    with pytest.raises(InvalidInputError) as excinfo:
+        call(grid)
+    assert str(excinfo.value) == f"theta_grid must be a one-dimensional sequence, got {grid!r}"
+
+
 # What a real input may be handed: numbers of every kind, and what is not a real number.
 ANY_VALUE = st.one_of(
     st.floats(), st.integers(), st.booleans(), st.none(), st.text(max_size=3),

@@ -48,8 +48,9 @@ from seqpol.algebra import (
     real_cross_correlation,
     validate_povm,
 )
-from seqpol.analysis import (P_FLOOR, _running_sum, calibrated_columns, error_columns, moments,
-                             stack_terms, symmetric_confusion, two_level_conditional_average)
+from seqpol.analysis import (P_FLOOR, _require_nonnegative, _running_sum, calibrated_columns,
+                             error_columns, error_report, moments, stack_terms,
+                             symmetric_confusion, two_level_conditional_average)
 from seqpol.cli import main
 from seqpol.harness import SWEEP_COLUMNS
 from seqpol.instrument import OUTCOMES, _check_effects, effect_stack, pm_error_probabilities
@@ -253,6 +254,7 @@ class TestStackTerms:
 
 
 EIGENVALUES = EstimateTable({1: 1.0, -1: -1.0})
+HALVES, TENTHS = np.array([[0.5, 0.5]]), np.array([[0.1, 0.1]])
 
 
 def _assert_columns_match_the_oracle(p, c, mean_square, variance):
@@ -315,14 +317,46 @@ class TestErrorColumns:
         p = np.array([[0.5, 0.5]])
         with pytest.raises(InvalidInputError, match="finite"):
             error_columns(p, np.array([[math.inf, 0.0]]), 1.0)
+        # an assignment whose squared terms overflow, as an infinite mean_square did
         with pytest.raises(InvalidInputError, match="reconcile"):
-            error_columns(p, np.array([[0.1, 0.1]]), math.inf)
+            error_columns(p, np.array([[0.1, 0.1]]), 1.0, (1e200, 1e200))
         with pytest.raises(InvalidInputError, match="excluded"):
             error_columns(np.array([[-0.5, 1.5]]), np.zeros((1, 2)), 1.0)
-        with pytest.raises(InvalidInputError, match="negative"):
-            error_columns(p, np.array([[0.5, -0.5]]), 0.5, nonnegative=True)
-        # the same error passes unscreened, as on the counts route
+        # a negative error passes: the sign rule belongs to the operator route
         assert error_columns(p, np.array([[0.5, -0.5]]), 0.5).epsilon_sq.tolist() == [-0.5]
+
+    def test_the_one_row_view_applies_the_sign_rule_it_is_given(self):
+        args = (("a", "b"), np.array([0.5, 0.5]), np.array([0.5, -0.5]), 0.5, 0.0, None)
+        with pytest.raises(InvalidInputError, match="^squared error -0.5 is negative"):
+            error_report(*args, True)
+        assert error_report(*args, False)[1].epsilon_sq == -0.5
+
+    @pytest.mark.parametrize("p, c, mean_square, assignment, message", [
+        pytest.param(HALVES, TENTHS, 1.0, (1.0,), "^assignment must hold 2 ", id="one value"),
+        pytest.param(HALVES, TENTHS, 1.0, (1.0, -1.0, 1.0), "^assignment must hold 2 ",
+                     id="three values"),
+        pytest.param(HALVES, TENTHS, 1.0, 1.0, "^assignment must hold 2 ", id="a number"),
+        pytest.param(HALVES, TENTHS, 1.0, ("1", "-1"), "^assignment must be finite, got '1'",
+                     id="strings"),
+        pytest.param(HALVES[0], TENTHS[0], 1.0, None, "^p must be a 2-D array", id="1-D p"),
+        pytest.param([[0.5, 0.5]], TENTHS, 1.0, None, "^p must be a 2-D array", id="list p"),
+        pytest.param(HALVES, TENTHS[:, :1], 1.0, None, "^c must be an array of the shape",
+                     id="c of another shape"),
+        pytest.param(HALVES, TENTHS.astype(str), 1.0, None, "^c must be finite, got '0.1'",
+                     id="string c"),
+        pytest.param(HALVES, TENTHS, "1", None, "^mean_square must be finite", id="str mean"),
+        pytest.param(HALVES, TENTHS, None, None, "^mean_square must be finite", id="None mean"),
+        pytest.param(HALVES, TENTHS, math.inf, None, "^mean_square must be finite",
+                     id="inf mean"),
+    ])
+    def test_rejects_a_malformed_input(self, p, c, mean_square, assignment, message):
+        with pytest.raises(InvalidInputError, match=message):
+            error_columns(p, c, mean_square, assignment)
+
+    def test_a_table_that_is_not_float64_follows_the_real_rule(self):
+        expected = error_columns(HALVES, TENTHS, 1.0, (1.0, -1.0))
+        for p in (HALVES.astype(object), HALVES.astype(np.float32)):
+            assert repr(error_columns(p, TENTHS, 1.0, (1.0, -1.0))) == repr(expected)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
     def test_rejects_a_non_finite_probability(self, value):
@@ -365,9 +399,10 @@ class TestEstimateColumns:
     def test_two_passes_equal_three_on_the_operator_route(self, thetas, v_pm, v_hv, angle):
         psi = make_linear_polarization(angle)
         p, c = stack_terms(psi, effect_stack(thetas, v_pm, v_hv), PM)
-        args = (thetas, pm_error_probabilities(thetas, v_pm), p, c, moments(psi, PM)[1], True)
-        assert repr(harness._estimate_columns(*args).tolist()) == repr(
-            oracle_estimate_columns(*args).tolist())
+        args = (thetas, pm_error_probabilities(thetas, v_pm), p, c, moments(psi, PM)[1])
+        columns = harness._estimate_columns(*args)
+        _require_nonnegative(columns[12:])  # the sweep's own step
+        assert repr(columns.tolist()) == repr(oracle_estimate_columns(*args, True).tolist())
 
     @settings(max_examples=200, deadline=None)
     @given(
@@ -391,10 +426,13 @@ class TestEstimateColumns:
         p, c = calibrated_columns(psi, plus, minus, 0.5 * (1.0 + mean_a), 0.5 * (1.0 - mean_a))
         p_error, symmetric = symmetric_confusion(plus[:, 2] + plus[:, 3],
                                                  minus[:, 0] + minus[:, 1])
-        eps_eigen = np.where(symmetric | (np.arange(50) % 2 == 0), 4.0 * p_error, np.nan)
-        args = ([theta] * 50, p_error, p, c, 1.0, False, eps_eigen)
-        assert repr(harness._estimate_columns(*args).tolist()) == repr(
-            oracle_estimate_columns(*args).tolist())
+        given_rows = symmetric | (np.arange(50) % 2 == 0)
+        args = ([theta] * 50, p_error, p, c, 1.0)
+        columns = harness._estimate_columns(*args)
+        columns[12] = np.where(given_rows, 4.0 * p_error, columns[12])  # the count table's step
+        eps_eigen = np.where(given_rows, 4.0 * p_error, np.nan)
+        assert repr(columns.tolist()) == repr(
+            oracle_estimate_columns(*args, False, eps_eigen).tolist())
 
 
 @settings(max_examples=100, deadline=None)
