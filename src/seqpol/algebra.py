@@ -130,20 +130,19 @@ def make_linear_polarization(angle_deg: float) -> QubitState:
 
 @dataclass(frozen=True)
 class DichotomicObservable:
-    """Hermitian operator with eigenvalues exactly +1 and -1.
-
-    Because the operator squares to the identity, its spectral projectors are
-    (1 +- op) / 2; quasi-probabilities use them through the pair (P, c).
-    """
+    """Hermitian operator that squares to the identity, checked however it is built: its
+    eigenvalues lie in {+1, -1} and its spectral projectors, (1 +- op) / 2, enter (P, c)."""
 
     op: np.ndarray
 
+    def __post_init__(self):
+        object.__setattr__(self, "op", require_hermitian(as_operator(self.op)))
+        if float(np.max(np.abs(self.op @ self.op - IDENTITY))) > TAU_ALG:
+            raise InvalidInputError("a dichotomic observable must square to the identity")
+
     @classmethod
     def from_operator(cls, entries) -> "DichotomicObservable":
-        op = require_hermitian(as_operator(entries))
-        if float(np.max(np.abs(op @ op - IDENTITY))) > TAU_ALG:
-            raise InvalidInputError("a dichotomic observable must square to the identity")
-        return cls(op=op)
+        return cls(op=entries)
 
 
 def make_stokes(axis: str) -> DichotomicObservable:

@@ -22,15 +22,14 @@ far outside the eigenvalue range when the conditioning outcome is unlikely.
 That possibility is exactly the failure of a joint positive probability for
 outcome and eigenvalue, which :func:`quasi_probability` makes visible.
 
-Every estimate and error is computed from one pair per outcome,
-(P(m), c_m = Re<psi|E_m A|psi>), held as two float arrays.  :func:`stack_terms`
-gives them over a real stack of effects, for a whole strength grid at once;
-:func:`outcome_terms` gives them, with the outcome labels, for any one POVM
-from the scalar algebra; :func:`calibrated_columns` gives them from
-eigenstate-calibration probabilities.  One array step, :func:`error_columns`,
-turns ``(N, K)`` tables of them into the optimal assignments and the squared
-errors of N settings, the same for every caller; :func:`error_report` is its
-one-row view, where the operator route rejects a negative error.
+Every estimate and error is computed from one pair per outcome, (P(m), c_m =
+Re<psi|E_m A|psi>), held as two float arrays.  The operator products have one source
+of them, :func:`stack_terms`, over a whole strength grid at once or, in
+:func:`outcome_terms`, over any one POVM, complex ones included;
+:func:`calibrated_columns` gives them from eigenstate-calibration probabilities.  One
+array step, :func:`error_columns`, turns ``(N, K)`` tables of them into the optimal
+assignments and the squared errors of N settings, the same for every caller;
+:func:`error_report` is its one-row view, where the operator route rejects a negative error.
 """
 
 import math
@@ -40,10 +39,9 @@ from typing import Hashable, Mapping, Sequence
 
 import numpy as np
 
-from .algebra import (TAU_ALG, DichotomicObservable, PovmSet, QubitState, born_probability,
-                      expectation, real_cross_correlation)
+from .algebra import TAU_ALG, DichotomicObservable, PovmSet, QubitState, expectation
 from .exceptions import (DegenerateBranchError, InvalidInputError, UnresolvableOutcomeError,
-                         require_real, require_reals, shown)
+                         require_mapping, require_real, require_reals, shown)
 
 # Below this probability an outcome is reported as unresolvable instead of
 # producing a huge finite estimate; divergent conditional averages are real
@@ -83,6 +81,14 @@ class ReconstructionConfig:
 def _require_probability(value, name: str):
     """A probability in [0, 1] as a float, or an array of them as a float64 array."""
     return (require_reals if isinstance(value, np.ndarray) else require_real)(name, value, 0, 1)
+
+
+def _require_shapes(first: tuple[str, object], *others: tuple[str, object]) -> None:
+    """Each ``(name, array)`` of ``others`` has the shape of ``first``: no broadcasting."""
+    for name, other in others:
+        if np.shape(other) != np.shape(first[1]):
+            raise InvalidInputError(f"{name} must be an array of the shape {np.shape(first[1])} "
+                                    f"of {first[0]}, got {shown(other)}")
 
 
 def variation_states(
@@ -130,6 +136,7 @@ def reconstruct_correlation(p_plus, p_minus, mean_a: float, mean_a2: float,
     """
     p_plus = _require_probability(p_plus, "p_plus")
     p_minus = _require_probability(p_minus, "p_minus")
+    _require_shapes(("p_plus", p_plus), ("p_minus", p_minus))
     mean_a, mean_a2 = require_real("mean_a", mean_a), require_real("mean_a2", mean_a2)
     lam = config.lam
     w_plus = 1.0 + 2.0 * lam * mean_a + lam * lam * mean_a2
@@ -194,6 +201,7 @@ def symmetric_confusion(p_flip_plus, p_flip_minus):
     flips lie within ``SYMMETRY_TOL`` of each other, over numbers or float arrays."""
     p_flip_plus = _require_probability(p_flip_plus, "p_flip_plus")
     p_flip_minus = _require_probability(p_flip_minus, "p_flip_minus")
+    _require_shapes(("p_flip_plus", p_flip_plus), ("p_flip_minus", p_flip_minus))
     return 0.5 * (p_flip_plus + p_flip_minus), np.abs(p_flip_plus - p_flip_minus) < SYMMETRY_TOL
 
 
@@ -204,7 +212,7 @@ class EstimateTable:
     assignments: Mapping[Hashable, float | None]
 
     def __post_init__(self):
-        table = dict(self.assignments)
+        table = require_mapping("assignments", self.assignments)
         for label, value in table.items():
             if value is not None:
                 table[label] = require_real(f"assignment for outcome {label!r}", value)
@@ -267,24 +275,24 @@ def _check_decomposition(epsilon_sq, mean_square, estimate_variance, residual, e
 def stack_terms(
     state: QubitState | Sequence[QubitState], effects: np.ndarray, observable: DichotomicObservable
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Arrays P(m) = Tr(rho E_m) and c_m = Re Tr(rho E_m A) over a real stack of effects.
+    """Float arrays P(m) = Tr(rho E_m) and c_m = Re Tr(rho E_m A) over a stack of effects.
 
-    ``effects`` is a float array of shape ``(..., 2, 2)`` and both arrays have its
+    ``effects`` is an array of shape ``(..., 2, 2)`` and both arrays have its
     leading shape, after an axis of S for a sequence of S states, taken in one product.
-    With E and A real, P = Tr(Re(rho) E) and c = Tr(Re(rho) E A) for any
-    state, so the products run in float64; a complex stack or target is an error.
-    A probability outside [0, 1] by more than ``TAU_ALG`` is an error, as in
-    :func:`seqpol.algebra.born_probability`, and in-band values are clamped to [0, 1].
+    With E and A real, P = Tr(Re(rho) E) and c = Tr(Re(rho) E A) for any state, so they
+    run in float64; a complex stack or target runs in complex128, where an imaginary part
+    of P of ``TAU_ALG`` or more is an error.  So is a P outside [0, 1] by more than
+    ``TAU_ALG``, as in :func:`seqpol.algebra.born_probability`; in-band P are clamped.
     """
-    if np.iscomplexobj(effects):
-        raise InvalidInputError("the effect stack is not real")
-    if observable.op.imag.any():
-        raise InvalidInputError("the target observable is not real")
-    density = (state.density.real if isinstance(state, QubitState) else  # (S, 1, ..., 1, 2, 2)
-               np.expand_dims([s.density.real for s in state], tuple(range(1, effects.ndim - 1))))
+    part = np.asarray if np.iscomplexobj(effects) or observable.op.imag.any() else np.real
+    density = (part(state.density) if isinstance(state, QubitState) else  # (S, 1, ..., 1, 2, 2)
+               np.expand_dims([part(s.density) for s in state], tuple(range(1, effects.ndim - 1))))
     weighted = density @ effects
     p = weighted.trace(axis1=-2, axis2=-1)
-    c = (weighted @ observable.op.real).trace(axis1=-2, axis2=-1)
+    if np.iscomplexobj(p) and (abs(p.imag) >= TAU_ALG).any():
+        raise InvalidInputError(f"outcome probability {complex(p[abs(p.imag) >= TAU_ALG][0])!r} "
+                                "is not real")
+    p, c = p.real, (weighted @ part(observable.op)).trace(axis1=-2, axis2=-1).real
     out_of_range = (p < -TAU_ALG) | (p > 1.0 + TAU_ALG)
     if out_of_range.any():
         raise InvalidInputError(f"outcome probability {float(p[out_of_range][0])!r} is out of range")
@@ -296,10 +304,9 @@ def outcome_terms(
     state: QubitState, povm: PovmSet, observable: DichotomicObservable
 ) -> tuple[tuple[Hashable, ...], np.ndarray, np.ndarray]:
     """The labels of any POVM, complex ones included, and float arrays of their P(m) and
-    Re<psi|E_m A|psi> from the scalar oracle (``born_probability``, ``real_cross_correlation``)."""
-    p = [born_probability(state, e) for e in povm]
-    c = [real_cross_correlation(state, e, observable.op) for e in povm]
-    return tuple(e.label for e in povm), np.array(p, dtype=float), np.array(c, dtype=float)
+    Re<psi|E_m A|psi>, from one :func:`stack_terms` pass over its effects."""
+    return tuple(e.label for e in povm), *stack_terms(state, np.array([e.op for e in povm]),
+                                                      observable)
 
 
 def _calibrated_pairs(outcome_probs, eigenstate_probs, p_plus_psi, p_minus_psi):
@@ -326,7 +333,9 @@ def calibrated_columns(p, given_plus, given_minus, p_plus_psi, p_minus_psi):
     p_minus_psi = _require_probability(p_minus_psi, "p_minus_psi")
     given_plus = _require_probability(given_plus, "P(m|+)")
     given_minus = _require_probability(given_minus, "P(m|-)")
-    return _require_probability(p, "P(m)"), given_plus * p_plus_psi - given_minus * p_minus_psi
+    p = _require_probability(p, "P(m)")
+    _require_shapes(("P(m)", p), ("P(m|+)", given_plus), ("P(m|-)", given_minus))
+    return p, given_plus * p_plus_psi - given_minus * p_minus_psi
 
 
 # Optimal assignments and error decomposition of N settings, one array row each.
@@ -404,6 +413,8 @@ def error_report(
     estimates, ``None`` for an unresolvable outcome, and the minimal error, or Ozawa's
     error of ``assignments``.  ``nonnegative`` rejects a negative error, a model fault
     on the operator route."""
+    if len(labels) != np.size(p):
+        raise InvalidInputError(f"labels must name the {np.size(p)} outcomes, got {shown(labels)}")
     fixed = None
     if assignments is not None:
         if set(assignments.assignments) != set(labels):
@@ -505,6 +516,7 @@ def quasi_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     The entries have shape ``(..., 2, K)``, a = +1 first; the flag, of the
     leading shape, marks a setting with an entry below ``-NEGATIVITY_TOL``.
     """
+    _require_shapes(("p", p), ("c", c))
     entries = 0.5 * np.stack([p + c, p - c], axis=-2)
     return entries, entries.min(axis=(-2, -1)) < -NEGATIVITY_TOL
 

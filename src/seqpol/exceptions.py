@@ -8,6 +8,7 @@ numpy scalar by its value); an integer input is a ``numbers.Integral`` other tha
 import math
 import numbers
 import sys
+from collections.abc import Mapping
 
 import numpy as np
 
@@ -76,6 +77,13 @@ def require_reals(name: str, values, lo=-math.inf, hi=math.inf, unit: str = "") 
         first = int(ok.argmin())
         require_real(name, values.item(first) if array else values[first], lo, hi, unit)
     return floats.reshape(values.shape) if array else floats
+
+
+def require_mapping(name: str, value) -> dict:
+    """``value`` as a dict, once it is a mapping."""
+    if not isinstance(value, Mapping):
+        raise InvalidInputError(f"{name} must be a mapping, got {shown(value)}")
+    return dict(value)
 
 
 def require_integer(name: str, value, least: int, most=math.inf) -> int:

@@ -41,7 +41,7 @@ from .analysis import (
     symmetric_confusion,
     variation_states,
 )
-from .exceptions import InvalidInputError, require_integer, require_real, shown
+from .exceptions import InvalidInputError, require_integer, require_mapping, require_real, shown
 from .instrument import (
     OUTCOMES,
     PROBABILITY_SUM_TOL,
@@ -302,7 +302,7 @@ class CountRecord:
         for name, value in (("input_angle_deg", angle), ("rng_seed", seed), ("n_photons", n)):
             object.__setattr__(self, name, value)
         for name in ("counts_psi", "counts_plus", "counts_minus"):
-            counts = dict(getattr(self, name))
+            counts = require_mapping(name, getattr(self, name))
             if set(counts) != set(OUTCOMES):
                 raise InvalidInputError(f"{name} must cover exactly the four outcomes")
             counts = {o: require_integer(name, counts[o], 0) for o in OUTCOMES}

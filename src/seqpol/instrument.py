@@ -48,9 +48,10 @@ from .algebra import (
     PovmElement,
     PovmSet,
     QubitState,
-    born_probability,
+    make_stokes,
 )
-from .exceptions import InvalidInputError, require_real, require_reals, shown
+from .analysis import stack_terms
+from .exceptions import InvalidInputError, require_mapping, require_real, require_reals, shown
 
 V_PM_DEFAULT = 0.93
 V_HV_DEFAULT = 0.9976
@@ -114,7 +115,7 @@ class OutcomeDistribution:
 
     def __post_init__(self):
         table = {}
-        for outcome, p in dict(self.probs).items():
+        for outcome, p in require_mapping("probs", self.probs).items():
             outcome = _require_outcome(outcome)
             table[outcome] = require_real(f"probability of outcome {outcome}", p, 0, math.inf)
         if set(table) != set(OUTCOMES):
@@ -204,7 +205,6 @@ def pm_error_probability(params: SetupParams) -> float:
 
 def outcome_probabilities(params: SetupParams, state: QubitState) -> OutcomeDistribution:
     """Distribution of the four sequential outcomes for a given input state."""
-    povm = sequential_povm(params)
-    return OutcomeDistribution(
-        {element.label: born_probability(state, element) for element in povm.elements}
-    )
+    effects = effect_stack((params.theta_deg,), params.v_pm, params.v_hv)[0]
+    p, _ = stack_terms(state, effects, make_stokes("PM"))  # the target shapes only c
+    return OutcomeDistribution(dict(zip(OUTCOMES, p.tolist())))

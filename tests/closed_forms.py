@@ -3,8 +3,8 @@
 The effects are built one outcome at a time from the ideal state vectors, in
 the loop form that ``seqpol.instrument.effect_stack`` replaces for whole
 grids, and their (P, c) pairs are taken in complex128 and one state at a
-time, as ``seqpol.analysis.stack_terms`` took them before it ran in float64
-and stacked the densities of several states.  The draws of a grid normalize
+time, as ``seqpol.analysis.stack_terms`` took them before it ran a real stack
+and target in float64 and stacked the densities of several states.  The draws of a grid normalize
 each run's probabilities on their own.  The conditional averages follow from
 the ideal effects with a symmetric PM error probability and an HV readout
 that is fully random for P and M eigenstate inputs.  The error report is the

@@ -73,6 +73,15 @@ def random_binary_povm(rng) -> PovmSet:
     return PovmSet((PovmElement("first", first), PovmElement("second", second)))
 
 
+def random_three_outcome_povm(rng) -> PovmSet:
+    """Three random positive effects, complex in general, scaled to sum to the identity."""
+    raw = [g @ g.conj().T for g in rng.normal(size=(3, 2, 2)) + 1j * rng.normal(size=(3, 2, 2))]
+    values, vectors = np.linalg.eigh(sum(raw))
+    root = vectors @ np.diag(values**-0.5) @ vectors.conj().T
+    effects = [root @ m @ root for m in raw]
+    return PovmSet(tuple(PovmElement(k, 0.5 * (e + e.conj().T)) for k, e in enumerate(effects)))
+
+
 def random_povm(rng) -> PovmSet:
     """Either a random unsharp binary POVM or a random instrument POVM."""
     from seqpol import SetupParams, sequential_povm

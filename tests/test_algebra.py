@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from seqpol import InvalidInputError, QubitState, make_linear_polarization, make_stokes
+from seqpol import (DichotomicObservable, InvalidInputError, QubitState, make_linear_polarization,
+                    make_stokes)
 from seqpol.algebra import (
     IDENTITY,
     PovmElement,
@@ -122,6 +123,29 @@ class TestStokes:
     def test_unknown_axis(self):
         with pytest.raises(InvalidInputError):
             make_stokes("circular")
+
+
+class TestDichotomicObservable:
+    @pytest.mark.parametrize("entries, message", [
+        ("x", "operator entries must be complex numbers, got 'x'"),
+        ([[1.0, 1.0], [0.0, 1.0]], "operator is not Hermitian within tolerance"),
+        (2.0 * np.eye(2), "a dichotomic observable must square to the identity"),
+        (np.diag([1.0, 0.5]), "a dichotomic observable must square to the identity"),
+    ])
+    def test_every_construction_path_checks_the_operator(self, entries, message):
+        for build in (DichotomicObservable, DichotomicObservable.from_operator):
+            with pytest.raises(InvalidInputError) as excinfo:
+                build(entries)
+            assert str(excinfo.value) == message
+
+    @pytest.mark.parametrize("axis, entries", [("HV", [[1.0, 0.0], [0.0, -1.0]]),
+                                               ("PM", [[0.0, 1.0], [1.0, 0.0]])])
+    def test_the_constructor_stores_a_read_only_complex_operator(self, axis, entries):
+        # the constructor and from_operator build the same target as make_stokes
+        for built in (DichotomicObservable(np.array(entries)),
+                      DichotomicObservable.from_operator(entries), make_stokes(axis)):
+            assert built.op.dtype == np.complex128 and not built.op.flags.writeable
+            assert repr(built) == repr(make_stokes(axis))
 
 
 class TestExpectationValues:

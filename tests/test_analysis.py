@@ -1,12 +1,16 @@
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import seqpol
 from seqpol import (
     DegenerateBranchError,
+    DichotomicObservable,
     EstimateTable,
     InvalidInputError,
     ReconstructionConfig,
@@ -42,7 +46,7 @@ from seqpol.analysis import (
     symmetric_error_probability,
     two_level_conditional_average,
 )
-from seqpol.instrument import pm_error_probability
+from seqpol.instrument import OutcomeDistribution, pm_error_probability
 
 from closed_forms import (
     classical_conditional_average,
@@ -57,13 +61,18 @@ from conftest import (
     V_HV_EDGES,
     V_PM_EDGES,
     projector,
+    random_binary_povm,
     random_dichotomic,
+    random_mixed_state,
     random_povm,
+    random_pure_state,
     random_state,
+    random_three_outcome_povm,
     with_edges,
 )
 
 A_MEAN = 1 / SQRT2  # <S_PM> of the 67.5 degree input
+CIRCULAR = DichotomicObservable.from_operator([[0.0, -1j], [1j, 0.0]])
 
 
 def eigenstate_weights(mean):
@@ -518,6 +527,51 @@ class TestOutcomeTermSources:
         assert list(calibrated) == list(direct)
         for label, (p, c) in direct.items():
             assert calibrated[label] == pytest.approx((p, c), abs=1e-12)
+
+
+    @settings(max_examples=300, deadline=None)
+    @given(
+        seed=st.integers(0, 2**32 - 1),
+        povm_kind=st.sampled_from(("sequential", "m1", "binary", "three")),
+        state_kind=st.sampled_from(("linear", "pure", "mixed")),
+        axis=st.sampled_from(("HV", "PM", "circular")),
+        theta=with_edges(THETA_EDGES, 0.0, 22.5),
+        v_pm=with_edges(V_PM_EDGES, 0.0, 1.0),
+        v_hv=with_edges(V_HV_EDGES, 0.0, 1.0),
+        angle=with_edges(ANGLE_EDGES, -180.0, 180.0),
+    )
+    def test_one_stack_pass_gives_the_scalar_oracle_pairs(self, seed, povm_kind, state_kind,
+                                                          axis, theta, v_pm, v_hv, angle):
+        # outcome_terms and outcome_probabilities read stack_terms; the scalar loops over
+        # born_probability and real_cross_correlation give the same pairs by repr, on
+        # complex POVMs and states and on all three targets, the circular one complex
+        rng = np.random.default_rng(seed)
+        params = SetupParams(theta, v_pm, v_hv)
+        povm = {"sequential": lambda: sequential_povm(params),
+                "m1": lambda: pm_marginal_povm(params),
+                "binary": lambda: random_binary_povm(rng),
+                "three": lambda: random_three_outcome_povm(rng)}[povm_kind]()
+        state = {"linear": lambda: make_linear_polarization(angle),
+                 "pure": lambda: random_pure_state(rng),
+                 "mixed": lambda: random_mixed_state(rng)}[state_kind]()
+        target = CIRCULAR if axis == "circular" else make_stokes(axis)
+        labels, p, c = outcome_terms(state, povm, target)
+        assert repr((labels, p.tolist(), c.tolist())) == repr((
+            tuple(e.label for e in povm), [born_probability(state, e) for e in povm],
+            [real_cross_correlation(state, e, target.op) for e in povm]))
+        assert repr(outcome_probabilities(params, state)) == repr(OutcomeDistribution(
+            {e.label: born_probability(state, e) for e in sequential_povm(params)}))
+
+    def test_only_algebra_names_the_scalar_oracle(self):
+        # the pairs have one source in the package; the scalar functions are the oracle
+        oracle = {"born_probability", "real_cross_correlation"}
+        for module in Path(seqpol.__file__).parent.glob("*.py"):
+            if module.name == "algebra.py":
+                continue
+            tree = ast.parse(module.read_text())
+            names = {getattr(node, key, None) for node in ast.walk(tree)
+                     for key in ("id", "attr", "name")}
+            assert not names & oracle, module.name
 
 
 class TestTwoLevelErrorPaths:

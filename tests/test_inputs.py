@@ -34,8 +34,8 @@ from seqpol import (
     two_level_ozawa_error,
 )
 from seqpol.algebra import as_operator
-from seqpol.analysis import (calibrated_columns, conditional_average, symmetric_confusion,
-                             symmetric_error_probability)
+from seqpol.analysis import (calibrated_columns, conditional_average, error_report, quasi_entries,
+                             symmetric_confusion, symmetric_error_probability)
 from seqpol.exceptions import require_real, require_reals
 from seqpol.instrument import OUTCOMES, OutcomeDistribution, effect_stack, pm_error_probabilities
 
@@ -307,6 +307,62 @@ def test_a_strength_grid_has_one_dimension(call):
     with pytest.raises(InvalidInputError) as excinfo:
         call(np.array([[1.0, 2.0]]))
     assert str(excinfo.value) == "theta_deg must be finite, got array([1., 2.])"
+
+
+# An array step takes its arrays in one shape, as error_columns takes p and c: one
+# argument is not broadcast against another.
+@pytest.mark.parametrize("call, message", [
+    pytest.param(lambda: calibrated_columns(PAIR, PAIR, HALF, 0.5, 0.5),
+                 "P(m|-) must be an array of the shape (2,) of P(m), got array([0.5])",
+                 id="calibrated_columns one P(m|-)"),
+    pytest.param(lambda: calibrated_columns(PAIR, np.full(3, 0.5), PAIR, 0.5, 0.5),
+                 "P(m|+) must be an array of the shape (2,) of P(m), got array([0.5, 0.5, 0.5])",
+                 id="calibrated_columns three P(m|+)"),
+    pytest.param(lambda: quasi_entries(PAIR, np.array([0.1])),
+                 "c must be an array of the shape (2,) of p, got array([0.1])",
+                 id="quasi_entries one c"),
+    pytest.param(lambda: reconstruct_correlation(PAIR, np.array([0.3]), 0.0, 1.0,
+                                                 ReconstructionConfig(1.0)),
+                 "p_minus must be an array of the shape (2,) of p_plus, got array([0.3])",
+                 id="reconstruct_correlation one p_minus"),
+    pytest.param(lambda: symmetric_confusion(np.array([0.1, 0.2]), np.array([0.1])),
+                 "p_flip_minus must be an array of the shape (2,) of p_flip_plus, "
+                 "got array([0.1])", id="symmetric_confusion one p_flip_minus"),
+    pytest.param(lambda: symmetric_confusion(0.1, np.array([0.1, 0.2])),
+                 "p_flip_minus must be an array of the shape () of p_flip_plus, "
+                 "got array([0.1, 0.2])", id="symmetric_confusion a number and an array"),
+])
+def test_an_array_step_takes_its_arrays_in_one_shape(call, message):
+    with pytest.raises(InvalidInputError) as excinfo:
+        call()
+    assert str(excinfo.value) == message
+
+
+@pytest.mark.parametrize("labels", [("a",), ("a", "b", "c")])
+def test_error_report_needs_one_label_per_outcome(labels):
+    with pytest.raises(InvalidInputError) as excinfo:
+        error_report(labels, PAIR, np.array([0.1, -0.1]), 1.0, 1.0, None, False)
+    assert str(excinfo.value) == f"labels must name the 2 outcomes, got {labels!r}"
+
+
+# A table keyed by outcome must be a mapping.
+NOT_MAPPINGS = {"list": [0.25] * 4, "None": None, "number": 5}
+TABLES = {
+    "CountRecord counts_psi": ("counts_psi", lambda x: _record(counts_psi=x)),
+    "CountRecord counts_plus": ("counts_plus", lambda x: _record(counts_plus=x)),
+    "CountRecord counts_minus": ("counts_minus", lambda x: _record(counts_minus=x)),
+    "OutcomeDistribution": ("probs", OutcomeDistribution),
+    "EstimateTable": ("assignments", EstimateTable),
+}
+
+
+@pytest.mark.parametrize("name, call, value", [
+    pytest.param(name, call, value, id=f"{entry}-{label}")
+    for entry, (name, call) in TABLES.items() for label, value in NOT_MAPPINGS.items()])
+def test_a_table_that_is_not_a_mapping_is_named(name, call, value):
+    with pytest.raises(InvalidInputError) as excinfo:
+        call(value)
+    assert str(excinfo.value) == f"{name} must be a mapping, got {value!r}"
 
 
 @pytest.mark.parametrize("call, grid", [

@@ -4,7 +4,8 @@
 and ``stack_terms`` takes (P, c) over it; the loop-built ``oracle_povm`` with the
 scalar ``born_probability`` and ``real_cross_correlation`` is the reference, and
 with the complex128 ``oracle_stack_terms`` it pins the real kernel bit for bit,
-also over the stacked densities of several states.  A grid draw has the
+also over the stacked densities of several states, and the complex path that a
+complex stack or target takes.  A grid draw has the
 per-run normalization of ``oracle_draw_counts`` as reference.
 ``error_columns`` turns whole (P, c) tables into estimates and errors; the
 outcome-by-outcome ``oracle_error_report`` is its reference, also for the
@@ -78,6 +79,7 @@ from conftest import (
 
 TOL = 1e-12
 PM = make_stokes("PM")
+CIRCULAR = DichotomicObservable.from_operator([[0.0, -1j], [1j, 0.0]])
 
 
 class TestEffectStack:
@@ -170,14 +172,32 @@ class TestStackTerms:
         with pytest.raises(InvalidInputError, match=message):
             stack_terms(psi_67_5, np.array([[effect]]), PM)
 
-    def test_rejects_a_complex_stack_or_target(self, psi_67_5):
-        # even a complex stack with zero imaginary parts: the kernel runs in float64
-        effects = effect_stack((3.0,), 0.93, 0.9976)
-        circular = DichotomicObservable.from_operator([[0.0, -1j], [1j, 0.0]])
-        with pytest.raises(InvalidInputError, match="the effect stack is not real"):
-            stack_terms(psi_67_5, effects.astype(complex), PM)
-        with pytest.raises(InvalidInputError, match="the target observable is not real"):
-            stack_terms(psi_67_5, effects, circular)
+    @settings(max_examples=200, deadline=None)
+    @given(
+        thetas=st.lists(with_edges(THETA_EDGES, 0.0, 22.5), min_size=1, max_size=4),
+        v_pm=with_edges(V_PM_EDGES, 0.0, 1.0),
+        v_hv=with_edges(V_HV_EDGES, 0.0, 1.0),
+        angles=st.lists(with_edges(ANGLE_EDGES, -180.0, 180.0), min_size=1, max_size=2),
+        seed=st.integers(0, 2**32 - 1),
+        stack=st.sampled_from(("real", "complex copy", "oracle")),
+        axis=st.sampled_from(("HV", "PM", "circular")),
+    )
+    def test_a_complex_stack_or_target_gives_the_complex_oracle(self, thetas, v_pm, v_hv,
+                                                                angles, seed, stack, axis):
+        # A complex copy of a real stack, the complex loop-built stack or the circular
+        # target, whose entries are imaginary, takes the products in complex128, and a
+        # real stack against a real target the float64 ones: the pairs are the oracle's
+        # by repr either way, for one state and for a sequence of states
+        rng = np.random.default_rng(seed)
+        states = [*map(make_linear_polarization, angles), random_pure_state(rng),
+                  random_mixed_state(rng)]
+        effects = {"real": effect_stack, "oracle": oracle_effect_stack,
+                   "complex copy": lambda *a: effect_stack(*a).astype(complex)}[stack](
+                       thetas, v_pm, v_hv)
+        target = CIRCULAR if axis == "circular" else make_stokes(axis)
+        for state in (states, states[-2], states[-1]):
+            assert repr([x.tolist() for x in stack_terms(state, effects, target)]) == repr(
+                [x.tolist() for x in oracle_stack_terms(state, effects, target)])
 
     @settings(max_examples=300, deadline=None)
     @given(
