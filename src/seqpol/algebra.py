@@ -13,7 +13,7 @@ function of its inputs, so concurrent evaluation needs no coordination.
 
 import math
 from dataclasses import dataclass
-from typing import Hashable, Iterator
+from typing import Hashable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -78,9 +78,10 @@ IDENTITY = as_operator(np.eye(2))
 class QubitState:
     """A pure or mixed qubit state; the density matrix is always available.
 
-    The :meth:`pure` and :meth:`mixed` constructors are the intended entry
-    points, but every construction path validates normalization, positivity,
-    and (for pure states) agreement between vector and density matrix.
+    :meth:`pure` builds a pure state from its amplitudes and the constructor,
+    ``QubitState(density)``, a mixed one.  Every construction path validates
+    normalization, positivity, and (for pure states) agreement between vector
+    and density matrix.
     """
 
     density: np.ndarray
@@ -117,10 +118,6 @@ class QubitState:
             raise InvalidInputError("state amplitudes must be finite")
         return cls(density=np.outer(vec, vec.conj()), vector=vec)
 
-    @classmethod
-    def mixed(cls, density) -> "QubitState":
-        return cls(density=density)
-
 
 def make_linear_polarization(angle_deg: float) -> QubitState:
     """Pure linear-polarization state cos(a)|H> + sin(a)|V> for ``a`` in degrees."""
@@ -130,8 +127,8 @@ def make_linear_polarization(angle_deg: float) -> QubitState:
 
 @dataclass(frozen=True)
 class DichotomicObservable:
-    """Hermitian operator that squares to the identity, checked however it is built: its
-    eigenvalues lie in {+1, -1} and its spectral projectors, (1 +- op) / 2, enter (P, c)."""
+    """Traceless Hermitian operator that squares to the identity, checked however it is built:
+    its eigenvalues are +1 and -1, and its spectral projectors, (1 +- op) / 2, enter (P, c)."""
 
     op: np.ndarray
 
@@ -139,10 +136,8 @@ class DichotomicObservable:
         object.__setattr__(self, "op", require_hermitian(as_operator(self.op)))
         if float(np.max(np.abs(self.op @ self.op - IDENTITY))) > TAU_ALG:
             raise InvalidInputError("a dichotomic observable must square to the identity")
-
-    @classmethod
-    def from_operator(cls, entries) -> "DichotomicObservable":
-        return cls(op=entries)
+        if abs(self.op.trace()) > TAU_ALG:
+            raise InvalidInputError("a dichotomic observable must be traceless")
 
 
 def make_stokes(axis: str) -> DichotomicObservable:
@@ -151,9 +146,9 @@ def make_stokes(axis: str) -> DichotomicObservable:
     ``"HV"`` gives |H><H| - |V><V| and ``"PM"`` gives |P><P| - |M><M|.
     """
     if axis == "HV":
-        return DichotomicObservable.from_operator([[1.0, 0.0], [0.0, -1.0]])
+        return DichotomicObservable([[1.0, 0.0], [0.0, -1.0]])
     if axis == "PM":
-        return DichotomicObservable.from_operator([[0.0, 1.0], [1.0, 0.0]])
+        return DichotomicObservable([[0.0, 1.0], [1.0, 0.0]])
     raise InvalidInputError(f"unknown axis {axis!r}; expected 'HV' or 'PM'")
 
 
@@ -198,8 +193,7 @@ class PovmSet:
         return iter(self.elements)
 
 
-@dataclass(frozen=True)
-class PovmValidation:
+class PovmValidation(NamedTuple):
     """Completeness and positivity report for a candidate POVM."""
 
     completeness_residual: float

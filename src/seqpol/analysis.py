@@ -35,7 +35,7 @@ assignments and the squared errors of N settings, the same for every caller;
 import math
 from collections import namedtuple
 from dataclasses import dataclass
-from typing import Hashable, Mapping, Sequence
+from typing import Hashable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -120,7 +120,7 @@ def variation_states(
         else:
             kernel = np.eye(2) + sign * lam * observable.op
             rho = kernel @ psi.density @ kernel
-            states.append(QubitState.mixed(rho / np.trace(rho).real))
+            states.append(QubitState(rho / np.trace(rho).real))
     return states[0], states[1]
 
 
@@ -496,8 +496,7 @@ def two_level_optimal_error(
     return error_report(labels, p, c, 1.0, 1.0 - mean * mean, None, False)
 
 
-@dataclass(frozen=True)
-class QuasiProbabilityTable:
+class QuasiProbabilityTable(NamedTuple):
     """Joint quasi-probabilities Re <psi| E_m Pi_a |psi> over (a, outcome).
 
     Both marginals reproduce ordinary probabilities, but individual entries
@@ -516,6 +515,9 @@ def quasi_entries(p: np.ndarray, c: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     The entries have shape ``(..., 2, K)``, a = +1 first; the flag, of the
     leading shape, marks a setting with an entry below ``-NEGATIVITY_TOL``.
     """
+    for name, x in (("p", p), ("c", c)):
+        if not isinstance(x, np.ndarray):
+            raise InvalidInputError(f"{name} must be an array, got {shown(x)}")
     _require_shapes(("p", p), ("c", c))
     entries = 0.5 * np.stack([p + c, p - c], axis=-2)
     return entries, entries.min(axis=(-2, -1)) < -NEGATIVITY_TOL

@@ -21,11 +21,11 @@ import os
 import sys
 from collections.abc import Iterator
 from contextlib import nullcontext
-from dataclasses import dataclass
 from itertools import chain, filterfalse, repeat
 from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from types import SimpleNamespace
+from typing import NamedTuple
 
 from .exceptions import InvalidInputError, SeqpolError, require_integer, require_real
 from .harness import (
@@ -80,8 +80,7 @@ class UsageError(SeqpolError):
     """Bad flags or configuration; maps to exit status 2."""
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Fully resolved invocation: one command plus every effective setting."""
 
     command: str
@@ -164,6 +163,20 @@ def parse_config(argv=None) -> RunConfig:
             value = _checked(key, value, kind, lo, hi)
         values[key] = value
 
+    # Checks that need no grid come first: a large grid may take all the memory.
+    fmt = values["format"]
+    if fmt not in _FORMATS:
+        raise UsageError(f"--format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
+    output = values["output"]
+    if not isinstance(output, str) or not output or "\0" in output:
+        raise UsageError(f"--output must be a non-empty path without NUL, got {output!r}")
+    try:
+        os.fsencode(output)
+    except UnicodeEncodeError:
+        raise UsageError(f"--output cannot be encoded as a path, got {output!r}") from None
+    if values.get("lam") == 0.0:
+        raise UsageError(f"--lam must be nonzero, got {values['lam']!r}")
+
     if values["theta"] is not None:
         if given.keys() & set(_GRID_KEYS):
             raise UsageError("--theta conflicts with --theta-min/--theta-max/--steps")
@@ -177,19 +190,6 @@ def parse_config(argv=None) -> RunConfig:
         else:
             width = (theta_max - theta_min) / (steps - 1)
             grid = tuple(min(theta_min + i * width, theta_max) for i in range(steps))
-
-    fmt = values["format"]
-    if fmt not in _FORMATS:
-        raise UsageError(f"--format must be one of {', '.join(_FORMATS)}, got {fmt!r}")
-    output = values["output"]
-    if not isinstance(output, str) or not output or "\0" in output:
-        raise UsageError(f"--output must be a non-empty path without NUL, got {output!r}")
-    try:
-        os.fsencode(output)
-    except UnicodeEncodeError:
-        raise UsageError(f"--output cannot be encoded as a path, got {output!r}") from None
-    if values.get("lam") == 0.0:
-        raise UsageError(f"--lam must be nonzero, got {values['lam']!r}")
 
     sweep = SweepConfig(grid, values["v_pm"], values["v_hv"], values["input_angle"])
     return RunConfig(command=namespace.command, sweep=sweep, output=output, fmt=fmt,

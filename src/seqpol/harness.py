@@ -24,7 +24,7 @@ and every probability formed from them passes the estimate's checks.
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Mapping, Sequence
+from typing import Callable, Mapping, NamedTuple, Sequence
 
 import numpy as np
 
@@ -170,8 +170,7 @@ def analytic_row(params: SetupParams, input_angle_deg: float = DEFAULT_INPUT_ANG
     return {key: cells[0] for key, cells in table.items()}
 
 
-@dataclass(frozen=True)
-class Crossing:
+class Crossing(NamedTuple):
     """A named root in theta; ``theta_deg`` is None when no sign change exists."""
 
     description: str

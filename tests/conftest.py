@@ -38,7 +38,7 @@ def random_pure_state(rng) -> QubitState:
 def random_mixed_state(rng) -> QubitState:
     g = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
     rho = g @ g.conj().T
-    return QubitState.mixed(rho / np.trace(rho).real)
+    return QubitState(rho / np.trace(rho).real)
 
 
 def random_state(rng) -> QubitState:
@@ -51,7 +51,7 @@ def random_dichotomic(rng) -> DichotomicObservable:
     op = np.array(
         [[n[2], n[0] - 1j * n[1]], [n[0] + 1j * n[1], -n[2]]], dtype=complex
     )
-    return DichotomicObservable.from_operator(op)
+    return DichotomicObservable(op)
 
 
 def m1_marginal(dist) -> dict[int, float]:

@@ -73,7 +73,7 @@ class TestStates:
 
     def test_mixed_requires_positivity(self):
         with pytest.raises(InvalidInputError):
-            QubitState.mixed([[1.5, 0.0], [0.0, -0.5]])
+            QubitState([[1.5, 0.0], [0.0, -0.5]])
 
     def test_direct_construction_is_validated_too(self):
         with pytest.raises(InvalidInputError):
@@ -131,19 +131,21 @@ class TestDichotomicObservable:
         ([[1.0, 1.0], [0.0, 1.0]], "operator is not Hermitian within tolerance"),
         (2.0 * np.eye(2), "a dichotomic observable must square to the identity"),
         (np.diag([1.0, 0.5]), "a dichotomic observable must square to the identity"),
+        # I and -I square to the identity but have one eigenvalue, +1 or -1, twice
+        (np.eye(2), "a dichotomic observable must be traceless"),
+        (-np.eye(2), "a dichotomic observable must be traceless"),
     ])
     def test_every_construction_path_checks_the_operator(self, entries, message):
-        for build in (DichotomicObservable, DichotomicObservable.from_operator):
-            with pytest.raises(InvalidInputError) as excinfo:
-                build(entries)
-            assert str(excinfo.value) == message
+        with pytest.raises(InvalidInputError) as excinfo:
+            DichotomicObservable(entries)
+        assert str(excinfo.value) == message
 
     @pytest.mark.parametrize("axis, entries", [("HV", [[1.0, 0.0], [0.0, -1.0]]),
                                                ("PM", [[0.0, 1.0], [1.0, 0.0]])])
     def test_the_constructor_stores_a_read_only_complex_operator(self, axis, entries):
-        # the constructor and from_operator build the same target as make_stokes
-        for built in (DichotomicObservable(np.array(entries)),
-                      DichotomicObservable.from_operator(entries), make_stokes(axis)):
+        # the constructor, on an array or on nested lists, builds the target of make_stokes
+        for built in (DichotomicObservable(np.array(entries)), DichotomicObservable(entries),
+                      make_stokes(axis)):
             assert built.op.dtype == np.complex128 and not built.op.flags.writeable
             assert repr(built) == repr(make_stokes(axis))
 

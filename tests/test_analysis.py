@@ -72,7 +72,7 @@ from conftest import (
 )
 
 A_MEAN = 1 / SQRT2  # <S_PM> of the 67.5 degree input
-CIRCULAR = DichotomicObservable.from_operator([[0.0, -1j], [1j, 0.0]])
+CIRCULAR = DichotomicObservable([[0.0, -1j], [1j, 0.0]])
 
 
 def eigenstate_weights(mean):
@@ -174,7 +174,7 @@ class TestReconstructCorrelation:
         rho = g @ g.conj().T
         from seqpol import QubitState
 
-        state = QubitState.mixed(rho / np.trace(rho).real)
+        state = QubitState(rho / np.trace(rho).real)
         obs = make_stokes("PM")
         povm = sequential_povm(SetupParams(9.0))
         plus, minus = variation_states(state, obs, cfg)

@@ -756,5 +756,24 @@ def test_out_of_memory_gives_one_error_line():
     assert (done.returncode, done.stdout, done.stderr) == (1, "", "error: out of memory\n")
 
 
+def test_a_bad_output_is_named_before_a_grid_too_large_for_memory():
+    # Under the limit above, the 200 million grid points would end in "out of
+    # memory"; the --output check runs before the grid is built.
+    child = (
+        "import resource, sys\n"
+        "from seqpol.cli import main\n"
+        "limit = 256 * 2**20\n"
+        "resource.setrlimit(resource.RLIMIT_AS, (limit, limit))\n"
+        "sys.exit(main(['sweep', '--steps', '200000000', '--output', '']))\n"
+    )
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    done = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                          env=env, timeout=120)
+    assert (done.returncode, done.stdout, done.stderr) == (
+        2, "", "error: --output must be a non-empty path without NUL, got ''\n")
+
+
 def test_parser_is_built_once():
     assert cli._build_parser() is cli._build_parser()

@@ -124,8 +124,7 @@ def test_an_integer_input_rejects_what_is_not_an_integer(call, value):
 # Operator and state-vector entries go through one complex conversion.
 COMPLEX_ENTRIES = {
     "as_operator": lambda x: as_operator([[x, 0], [0, 1]]),
-    "DichotomicObservable.from_operator": lambda x: DichotomicObservable.from_operator(
-        [[x, 0], [0, -1]]),
+    "DichotomicObservable": lambda x: DichotomicObservable([[x, 0], [0, -1]]),
     "QubitState.pure": lambda x: QubitState.pure([x, 0]),
     "QubitState vector": lambda x: QubitState(np.diag([1.0, 0.0]), vector=[x, 0]),
     "QubitState density": lambda x: QubitState([[x, 0], [0, 0]]),
@@ -321,6 +320,10 @@ def test_a_strength_grid_has_one_dimension(call):
     pytest.param(lambda: quasi_entries(PAIR, np.array([0.1])),
                  "c must be an array of the shape (2,) of p, got array([0.1])",
                  id="quasi_entries one c"),
+    pytest.param(lambda: quasi_entries([0.5, 0.5], [0.1, 0.1]),
+                 "p must be an array, got [0.5, 0.5]", id="quasi_entries list p"),
+    pytest.param(lambda: quasi_entries(PAIR, [0.1, 0.1]),
+                 "c must be an array, got [0.1, 0.1]", id="quasi_entries list c"),
     pytest.param(lambda: reconstruct_correlation(PAIR, np.array([0.3]), 0.0, 1.0,
                                                  ReconstructionConfig(1.0)),
                  "p_minus must be an array of the shape (2,) of p_plus, got array([0.3])",

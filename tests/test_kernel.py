@@ -79,7 +79,7 @@ from conftest import (
 
 TOL = 1e-12
 PM = make_stokes("PM")
-CIRCULAR = DichotomicObservable.from_operator([[0.0, -1j], [1j, 0.0]])
+CIRCULAR = DichotomicObservable([[0.0, -1j], [1j, 0.0]])
 
 
 class TestEffectStack:
